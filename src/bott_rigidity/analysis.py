@@ -61,6 +61,11 @@ def _minors_gcd_is_unit(rows, mode: CoeffMode) -> bool:
     return g != 0
 
 
+def _check_bound(bound: int) -> None:
+    if bound < 1:
+        raise ValueError(f"box bound must be at least 1, got {bound}")
+
+
 def find_reducible_stage(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER):
     """Highest twisted stage whose twist form is even and squares to zero."""
     for m in reversed(range(matrix.n)):
@@ -103,6 +108,7 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     certified = False
     exhausted = False
     if certify:
+        _check_bound(bound)
         if matrix.n > certify_n_max:
             exhausted = True
         else:
@@ -134,11 +140,14 @@ def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     gives the lower bound. The search then tries s = lower bound upward:
     pick a line subset, complete it with rows from a coefficient box,
     placing a row only when its square lies in the span of the placed
-    rows times itself. The identity basis always succeeds at the tower's
-    own twist count, so the scan terminates. certified means the value
-    met the lower bound; otherwise it is only an upper bound at this box
-    bound.
+    rows times itself. Every primitive row of the box [-bound, bound]^n
+    is a candidate: w^2 = g w always has the solution g = w, so no row
+    can be ruled out before the span is known. The identity basis always
+    succeeds at the tower's own twist count, so the scan terminates for
+    any bound >= 1. certified means the value met the lower bound;
+    otherwise it is only an upper bound at this box bound.
     """
+    _check_bound(bound)
     n = matrix.n
     lines = square_zero_lines(matrix)
     best = 0
@@ -147,7 +156,7 @@ def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
             best = k
             break
     lower = n - best
-    pool = _oracle_pool(matrix, mode, bound)
+    pool = primitive_rows_box(n, bound)
     for s in range(lower, n + 1):
         witness = _presentation_search(matrix, mode, lines, pool, s)
         if witness is not None:
@@ -157,27 +166,17 @@ def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     raise AssertionError("identity fallback should have terminated the scan")
 
 
-def _oracle_pool(matrix: BottMatrix, mode: CoeffMode, bound: int):
-    """Box rows that can twist at all: w^2 = g w solvable for some g."""
-    n = matrix.n
-    ok = _value_ok(mode)
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    pool = []
-    for w in primitive_rows_box(n, bound):
-        sq = line_square_pairs(matrix, w)
-        rows = []
-        for (i, j) in pairs:
-            coeffs = [0] * n
-            coeffs[i] += w[j]
-            coeffs[j] += w[i] + matrix.entry(i, j) * w[j]
-            rows.append([Fraction(c) for c in coeffs])
-        rhs = [Fraction(sq.get(p, 0)) for p in pairs]
-        if solve_linear(rows, rhs, ok) is not None:
-            pool.append(w)
-    return pool
-
-
 def _presentation_search(matrix, mode, lines, pool, s):
+    """First unit basis of need = n - s line rows plus s rows from the pool.
+
+    Each completion is placed greedily: a row goes in once its square lies
+    in the span of the placed rows times itself. The first placement is
+    always solved against the bare base, so for each base that solve is
+    memoized by w across all completions; cached solutions are never
+    mutated.
+    Deeper prefixes are not memoized: at s >= 2 the table would grow
+    toward |pool|^2 entries for little gain.
+    """
     n = matrix.n
     need = n - s
     if need > len(lines) or need < 0:
@@ -187,6 +186,7 @@ def _presentation_search(matrix, mode, lines, pool, s):
     for base in combinations(lines, need):
         if not _minors_gcd_is_unit(base, mode):
             continue
+        first: dict = {}
         for completion in combinations(pool, s):
             placed = [tuple(r) for r in base]
             twists = [None] * s
@@ -196,7 +196,12 @@ def _presentation_search(matrix, mode, lines, pool, s):
                 progressed = False
                 for idx in list(remaining):
                     w = completion[idx]
-                    sol = _span_twist_solve(matrix, placed, w, ok, pairs)
+                    if ordered:
+                        sol = _span_twist_solve(matrix, placed, w, ok, pairs)
+                    elif w in first:
+                        sol = first[w]
+                    else:
+                        sol = first[w] = _span_twist_solve(matrix, placed, w, ok, pairs)
                     if sol is not None:
                         twists[len(ordered)] = sol
                         ordered.append(w)

@@ -40,6 +40,7 @@ from .core import (
     BottMatrix,
     BottRing,
     CoeffMode,
+    integer_entries,
     inverse_pair_coefficient_condition,
     pontrjagin_one_twist,
     whitney_sum_trivial,
@@ -102,12 +103,10 @@ def _load_json_file(path: str):
 def _int_list(data, where: str) -> list[int]:
     if not isinstance(data, list):
         raise InputError(f"{where}: expected a JSON array of integers")
-    out = []
-    for v in data:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputError(f"{where}: entry {v!r} is not an integer")
-        out.append(v)
-    return out
+    try:
+        return list(integer_entries(data, where))
+    except TypeError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _load_square_matrix(path: str) -> list[list[int]]:

@@ -21,6 +21,20 @@ from fractions import Fraction
 from itertools import combinations
 
 
+def integer_entries(values, where: str) -> tuple[int, ...]:
+    """The values as a tuple, each checked to be an int.
+
+    bool and every non-int (float, Fraction, str, ...) are rejected, even
+    when integral in value: silently truncating 1.5 to 1 would change the
+    tower being asked about.
+    """
+    out = tuple(values)
+    for v in out:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"{where}: entry {v!r} is not an integer")
+    return out
+
+
 class CoeffMode(str, Enum):
     INTEGER = "z"
     RATIONAL = "q"
@@ -87,7 +101,7 @@ class BottMatrix:
     __slots__ = ("rows", "n")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(integer_entries(row, f"row {i}") for i, row in enumerate(rows))
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -107,7 +121,7 @@ class BottMatrix:
     @classmethod
     def from_last_column(cls, alpha) -> "BottMatrix":
         """Tower over a trivial base whose final stage twists by alpha."""
-        alpha = [int(a) for a in alpha]
+        alpha = integer_entries(alpha, "twist vector")
         n = len(alpha) + 1
         rows = [[0] * n for _ in range(n)]
         for i, a in enumerate(alpha):
@@ -356,12 +370,6 @@ class BottRing:
         for i in range(self.n):
             prod = prod * self.generator(i)
         return not prod.is_zero()
-
-    def element_is_even(self, elem: RingElement) -> bool:
-        return all(self.coeff.is_even(c) for c in elem.terms.values())
-
-    def halve_element(self, elem: RingElement) -> RingElement:
-        return RingElement(self, {m: self.coeff.halve(c) for m, c in elem.terms.items()})
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BottMatrix
+from .core import BottMatrix, integer_entries
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class OneTwistClass:
     alpha: tuple
 
     def __init__(self, alpha):
-        object.__setattr__(self, "alpha", tuple(int(a) for a in alpha))
+        object.__setattr__(self, "alpha", integer_entries(alpha, "twist vector"))
 
     @property
     def n(self) -> int:
@@ -43,7 +43,7 @@ class EquivalenceWitness:
 def _vec(alpha):
     if isinstance(alpha, OneTwistClass):
         return alpha.alpha
-    return tuple(int(a) for a in alpha)
+    return integer_entries(alpha, "twist vector")
 
 
 def diffeo_equivalent(alpha, beta):
@@ -53,7 +53,11 @@ def diffeo_equivalent(alpha, beta):
     each slot are filtered by parity up front and products are checked
     incrementally against all previously assigned slots.
     """
-    a, b = _vec(alpha), _vec(beta)
+    return _match(_vec(alpha), _vec(beta))
+
+
+def _match(a, b):
+    """diffeo_equivalent on validated integer tuples."""
     if len(a) != len(b):
         raise ValueError(f"vectors have lengths {len(a)} and {len(b)}")
     k = len(a)
@@ -126,9 +130,10 @@ def classify(corpus, mapper=None) -> list[dict]:
     """Partition a corpus of twist vectors into equivalence classes.
 
     Union-find over pairwise diffeo_equivalent, comparisons in fixed
-    order. Each class reports the lexicographically least representative
-    by (sorted absolute values, parities), its members in input order,
-    and the shared Pontrjagin multiset; classes are sorted by that key.
+    order; the corpus is validated once, not on every comparison. Each
+    class reports the lexicographically least representative by (sorted
+    absolute values, parities), its members in input order, and the
+    shared Pontrjagin multiset; classes are sorted by that key.
 
     `mapper`, when given, evaluates the pair comparisons (signature of
     builtin map, order-preserving); unions are always applied serially
@@ -151,11 +156,11 @@ def classify(corpus, mapper=None) -> list[dict]:
     if mapper is None:
         for i in range(len(vecs)):
             for j in range(i + 1, len(vecs)):
-                if find(i) != find(j) and diffeo_equivalent(vecs[i], vecs[j])[0]:
+                if find(i) != find(j) and _match(vecs[i], vecs[j])[0]:
                     parent[find(j)] = find(i)
     else:
         pairs = [(i, j) for i in range(len(vecs)) for j in range(i + 1, len(vecs))]
-        hits = mapper(lambda p: diffeo_equivalent(vecs[p[0]], vecs[p[1]])[0], pairs)
+        hits = mapper(lambda p: _match(vecs[p[0]], vecs[p[1]])[0], pairs)
         for (i, j), hit in zip(pairs, hits):
             if hit and find(i) != find(j):
                 parent[find(j)] = find(i)

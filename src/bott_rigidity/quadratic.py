@@ -149,18 +149,6 @@ def _affine_family(u, line, mode: CoeffMode):
     return w0, tuple(line)
 
 
-def _vector_as_mode(vec, mode: CoeffMode):
-    out = []
-    for x in vec:
-        f = Fraction(x)
-        if mode is not CoeffMode.RATIONAL:
-            if f.denominator != 1:
-                return None
-            f = int(f)
-        out.append(f)
-    return tuple(out)
-
-
 class RowSolutions:
     """Solution set of w^2 = u*w: finitely many rows plus affine families.
 

@@ -5,6 +5,7 @@ pinned, or hand-computed (noted inline). Witness replays go through the
 full ring engine, never the shortcut formulas.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -30,6 +31,16 @@ from bott_rigidity.linalg import det_fraction, det_int
 def rand_bott(rng, n, bound=2):
     return BottMatrix([[rng.randint(-bound, bound) if j > i else 0
                         for j in range(n)] for i in range(n)])
+
+
+def _tower(n, entries):
+    """Strict upper triangle filled column by column from entries."""
+    rows = [[0] * n for _ in range(n)]
+    it = iter(entries)
+    for j in range(n):
+        for i in range(j):
+            rows[i][j] = next(it)
+    return rows
 
 
 class TestFindReducibleStage:
@@ -99,6 +110,32 @@ class TestComplexityOracle:
         assert len(w["basis"]) == 2
         assert det_fraction(w["basis"]) in (1, -1)
         assert w["zero_rows"] == 2 - rep.value
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, bound):
+        mat = BottMatrix([[0, 1], [0, 0]])
+        with pytest.raises(ValueError, match=f"got {bound}"):
+            complexity_oracle(mat, bound=bound)
+        with pytest.raises(ValueError, match=f"got {bound}"):
+            twist_number(mat, certify=True, bound=bound)
+
+    def test_pinned_values_and_witnesses(self):
+        # every height-3 tower over [-2,2] in every mode, then 60 seeded
+        # height-4 towers over [-3,3]: the digest pins each value, lower
+        # bound and witness basis, so pool order and solve reuse are fixed
+        modes = list(CoeffMode)
+        cases = [(_tower(3, e), mode) for mode in modes
+                 for e in product(range(-2, 3), repeat=3)]
+        rng = random.Random(11)
+        for k in range(60):
+            cases.append((_tower(4, [rng.randint(-3, 3) for _ in range(6)]), modes[k % 3]))
+        lines = []
+        for rows, mode in cases:
+            rep = complexity_oracle(BottMatrix(rows), mode, bound=2)
+            lines.append(repr((rows, mode.value, rep.value, rep.lower_bound,
+                               rep.certified, rep.witness)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "137b650f79895f801d419064ad37f6b38192a2d81be6f11fb7fc3c6f45e7a92a"
 
     def test_greedy_matches_oracle_exhaustively_height_two(self):
         for a in range(-3, 4):

@@ -7,12 +7,14 @@ n=3 table agree with ring_isomorphic verdicts).
 
 import random
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from bott_rigidity import (
     BottMatrix,
+    OneTwistClass,
     classify,
     diffeo_equivalent,
     integral_trivial,
@@ -53,6 +55,18 @@ class TestDiffeoEquivalent:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             diffeo_equivalent((1, 0), (1, 0, 0))
+
+    @pytest.mark.parametrize("bad", [1.7, Fraction(1, 2), True])
+    def test_non_integer_input_rejected(self, bad):
+        # truncating 1.7 to 1 used to report (1.7, 2) ~ (1, 2)
+        with pytest.raises(TypeError, match="not an integer"):
+            diffeo_equivalent([bad, 2], [1, 2])
+        with pytest.raises(TypeError, match="not an integer"):
+            diffeo_equivalent([1, 2], (2, bad))
+        with pytest.raises(TypeError, match="not an integer"):
+            OneTwistClass([bad, 2])
+        with pytest.raises(TypeError, match="not an integer"):
+            classify([(1, 2), (bad, 2)])
 
     def test_equivalence_relation(self):
         rng = random.Random(71)

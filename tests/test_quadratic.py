@@ -48,6 +48,16 @@ class TestClosedForms:
             got_sq = {k: Fraction(v) for k, v in line_square_pairs(mat, z).items()}
             assert got_sq == pairs_via_engine(mat, z, z)
 
+    def test_product_with_itself_is_the_square(self):
+        # w^2 = g w is always solved by g = w, so no box row can be ruled
+        # out of the complexity oracle's pool before the span is known
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            mat = rand_bott(rng, n, bound=4)
+            w = [rng.randint(-5, 5) for _ in range(n)]
+            assert line_product_pairs(mat, w, w) == line_square_pairs(mat, w)
+
     def test_zero_coefficients_dropped(self):
         mat = BottMatrix.zeros(3)
         assert line_square_pairs(mat, [1, 0, 0]) == {}

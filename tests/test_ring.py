@@ -59,6 +59,13 @@ class TestBottMatrix:
         with pytest.raises(ValueError):
             BottMatrix([[0, 1, 2], [0, 0, 3]])
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(3, 2), True, "1"])
+    def test_non_integer_entries_rejected(self, bad):
+        with pytest.raises(TypeError, match="not an integer"):
+            BottMatrix([[0, bad], [0, 0]])
+        with pytest.raises(TypeError, match="not an integer"):
+            BottMatrix.from_last_column([bad, 2])
+
     def test_helpers(self):
         m = BottMatrix([[0, 0, 2], [0, 0, 3], [0, 0, 0]])
         assert m == BottMatrix.from_last_column([2, 3])
