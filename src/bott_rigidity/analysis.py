@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import BottMatrix, BottRing, CoeffMode
+from .core import BottMatrix, BottRing, CoeffMode, CoeffRing
 from .linalg import det_fraction, maximal_minors_gcd, rank_fraction, solve_linear
 from .moves import trivialize_stage, stage_fibration_trivial
 from .quadratic import (
@@ -38,27 +38,6 @@ def _value_ok(mode: CoeffMode):
     if mode is CoeffMode.TWO_LOCAL:
         return lambda f: f.denominator % 2 == 1
     return lambda f: True
-
-
-def _det_is_unit(det, mode: CoeffMode) -> bool:
-    d = Fraction(det)
-    if mode is CoeffMode.INTEGER:
-        return d in (1, -1)
-    if mode is CoeffMode.TWO_LOCAL:
-        return d != 0 and d.numerator % 2 == 1 and d.denominator % 2 == 1
-    return d != 0
-
-
-def _minors_gcd_is_unit(rows, mode: CoeffMode) -> bool:
-    """Whether the integer rows extend to a basis over the coefficient ring."""
-    if not rows:
-        return True
-    g = maximal_minors_gcd([list(r) for r in rows])
-    if mode is CoeffMode.INTEGER:
-        return g == 1
-    if mode is CoeffMode.TWO_LOCAL:
-        return g % 2 == 1
-    return g != 0
 
 
 def _check_bound(bound: int) -> None:
@@ -150,9 +129,10 @@ def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     _check_bound(bound)
     n = matrix.n
     lines = square_zero_lines(matrix)
+    unit = CoeffRing(mode).is_unit
     best = 0
     for k in range(len(lines), 0, -1):
-        if any(_minors_gcd_is_unit(sub, mode) for sub in combinations(lines, k)):
+        if any(unit(maximal_minors_gcd(sub)) for sub in combinations(lines, k)):
             best = k
             break
     lower = n - best
@@ -182,9 +162,10 @@ def _presentation_search(matrix, mode, lines, pool, s):
     if need > len(lines) or need < 0:
         return None
     ok = _value_ok(mode)
+    unit = CoeffRing(mode).is_unit
     pairs = [(i, j) for j in range(n) for i in range(j)]
     for base in combinations(lines, need):
-        if not _minors_gcd_is_unit(base, mode):
+        if not unit(maximal_minors_gcd(base)):
             continue
         first: dict = {}
         for completion in combinations(pool, s):
@@ -214,7 +195,7 @@ def _presentation_search(matrix, mode, lines, pool, s):
             if remaining:
                 continue
             det = det_fraction([list(r) for r in placed])
-            if not _det_is_unit(det, mode):
+            if not unit(det):
                 continue
             twist_rows = []
             actual = 0
@@ -315,7 +296,7 @@ def _verified_witness(host, target, rows, mode, direction):
         if not (elems[k] * elems[k] - u * elems[k]).is_zero():
             raise AssertionError("witness failed relation replay")
     det = det_fraction([list(r) for r in rows])
-    if not _det_is_unit(det, mode):
+    if not CoeffRing(mode).is_unit(det):
         raise AssertionError("witness determinant is not a unit")
     return {"direction": direction, "rows": [list(r) for r in rows], "det": det}
 
@@ -360,7 +341,7 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode, bound:
     def rec(k):
         if k == n:
             det = det_fraction([list(r) for r in rows])
-            return _det_is_unit(det, mode)
+            return CoeffRing(mode).is_unit(det)
         for w in candidates(k):
             if rank_fraction([list(r) for r in rows] + [list(w)]) != k + 1:
                 continue

@@ -11,8 +11,7 @@ Subcommands
 Exit codes: 0 affirmative or success, 1 negative verdict or failed
 check, 2 malformed input, 3 budget exhausted (certification gap or a
 size guard). Inputs are UTF-8 JSON files. Output is byte-stable for a
-fixed command line: JSON keys are sorted, randomness is seeded, and
-thread fan-out never reorders assembled results.
+fixed command line: JSON keys are sorted and randomness is seeded.
 """
 
 from __future__ import annotations
@@ -21,11 +20,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -65,29 +62,19 @@ from .quasitoric import (
 )
 
 CLASSIFY_GUARD = 200_000
+CERTIFY_N_MAX = 4
 
 
 @dataclass
 class RunConfig:
     coeff_ring: CoeffMode = CoeffMode.INTEGER
     coeff_bound: int = 2
-    n_max: int = 4
     seed: int = 0
     output_format: str = "json"
-    threads: int = 1
 
 
 class InputError(ValueError):
     pass
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("BOTT_RIGIDITY_THREADS", "")
-    try:
-        count = int(raw)
-    except ValueError:
-        return 1
-    return count if count >= 1 else 1
 
 
 def _load_json_file(path: str):
@@ -184,7 +171,7 @@ def _emit(payload: dict, cfg: RunConfig, table: tuple[list[str], list[dict]] | N
 def cmd_twist(cfg: RunConfig, args) -> int:
     matrix = _load_bott_matrix(args.matrix_file)
     report = twist_number(matrix, cfg.coeff_ring, certify=True,
-                          bound=max(1, cfg.coeff_bound), certify_n_max=cfg.n_max)
+                          bound=max(1, cfg.coeff_bound), certify_n_max=CERTIFY_N_MAX)
     oracle = None
     if report.oracle is not None:
         oracle = {
@@ -234,11 +221,7 @@ def cmd_classify(cfg: RunConfig, args) -> int:
             f"refusing to enumerate {total} vectors (guard {CLASSIFY_GUARD})\n")
         return 3
     corpus = [list(v) for v in product(range(-bound, bound + 1), repeat=n - 1)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            classes = classify(corpus, mapper=lambda fn, items: list(pool.map(fn, items)))
-    else:
-        classes = classify(corpus)
+    classes = classify(corpus)
     payload = {
         "n": n,
         "bound": bound,
@@ -661,21 +644,15 @@ SELFTEST_CHECKS = [
 
 
 def cmd_selftest(cfg: RunConfig, args) -> int:
-    def run_one(item):
-        (name, fn), check_seed = item
+    def run_one(name, fn, check_seed):
         try:
             ok, detail = fn(random.Random(check_seed))
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"exception: {exc!r}"
         return {"name": name, "ok": ok, "detail": detail}
 
-    items = [(check, cfg.seed * 1_000_003 + i)
-             for i, check in enumerate(SELFTEST_CHECKS)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_one, items))
-    else:
-        results = [run_one(it) for it in items]
+    results = [run_one(name, fn, cfg.seed * 1_000_003 + i)
+               for i, (name, fn) in enumerate(SELFTEST_CHECKS)]
 
     passed = sum(1 for r in results if r["ok"])
     if cfg.output_format == "text":
@@ -705,8 +682,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="coefficient ring (default z)")
     common.add_argument("--bound", type=int, default=2,
                         help="search bound for witnesses and enumeration boxes")
-    common.add_argument("--certified", action="store_true",
-                        help="exit 3 unless the answer carries a certificate")
     common.add_argument("--format", dest="output_format",
                         choices=["json", "csv", "text"], default="json")
     common.add_argument("--seed", type=int, default=0,
@@ -721,6 +696,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twist", parents=[common],
                        help="greedy twist number of a tower matrix")
     p.add_argument("matrix_file")
+    p.add_argument("--certified", action="store_true",
+                   help="exit 3 unless minimality was certified")
 
     p = sub.add_parser("equiv", parents=[common],
                        help="equivalence of two one-twist vectors")
@@ -759,8 +736,7 @@ def main(argv=None) -> int:
     cfg = RunConfig(coeff_ring=CoeffMode(args.ring),
                     coeff_bound=args.bound,
                     seed=args.seed,
-                    output_format=args.output_format,
-                    threads=_worker_count())
+                    output_format=args.output_format)
     try:
         return HANDLERS[args.command](cfg, args)
     except InputError as exc:

@@ -4,9 +4,11 @@ A one-twist tower is determined by an integer vector alpha of length
 n - 1: all stages are untwisted except the last, whose twist form is
 sum alpha[i] x_i. Two such towers are equivalent exactly when some
 permutation matches the coordinates of alpha to those of beta in parity
-and matches every pairwise product in absolute value. The decision
-procedure here is that permutation search; the ring-isomorphism oracle
-in the analysis module provides the independent cross-check.
+and matches every pairwise product in absolute value. diffeo_equivalent
+searches for that permutation and returns it as the witness; classify
+groups a corpus by a closed-form complete invariant of the same
+relation. The ring-isomorphism oracle in the analysis module provides
+the independent cross-check.
 """
 
 from __future__ import annotations
@@ -53,11 +55,7 @@ def diffeo_equivalent(alpha, beta):
     each slot are filtered by parity up front and products are checked
     incrementally against all previously assigned slots.
     """
-    return _match(_vec(alpha), _vec(beta))
-
-
-def _match(a, b):
-    """diffeo_equivalent on validated integer tuples."""
+    a, b = _vec(alpha), _vec(beta)
     if len(a) != len(b):
         raise ValueError(f"vectors have lengths {len(a)} and {len(b)}")
     k = len(a)
@@ -126,18 +124,45 @@ def _class_key(vec):
     return (tuple(sorted(abs(x) for x in vec)), tuple(x % 2 for x in vec), vec)
 
 
-def classify(corpus, mapper=None) -> list[dict]:
+def _invariant(vec):
+    """Complete invariant of the one-twist criterion, in closed form.
+
+    Let m be the number of nonzero entries. For m >= 2 an entry is
+    nonzero exactly when it has a nonzero product with another entry, so
+    a matching permutation sends nonzero slots to nonzero slots, and m
+    itself is recovered from the C(m, 2) nonzero products.
+
+    m >= 3: for any slot i pick nonzero slots j, k other than i; then
+    |a_i|^2 = |a_i a_j| |a_i a_k| / |a_j a_k|, so a matching permutation
+    matches every |a_i|. Conversely equal sorted |a_i| give a permutation
+    that matches products, and parities too since |x| and x share parity.
+    Key: the sorted absolute values.
+
+    m = 2: the one nonzero product and the number of odd entries are
+    preserved. Conversely, with the same odd count the two nonzero
+    entries pair up parity for parity and the zeros pair with zeros, and
+    every other product is 0 on both sides. Key: the product of the two
+    nonzero |a_i| and the odd count.
+
+    m <= 1: every product is 0, so only the odd count matters.
+    """
+    nz = [abs(x) for x in vec if x]
+    if len(nz) >= 3:
+        return (3, tuple(sorted(abs(x) for x in vec)))
+    odd = sum(x % 2 for x in vec)
+    if len(nz) == 2:
+        return (2, nz[0] * nz[1], odd)
+    return (1, odd)
+
+
+def classify(corpus) -> list[dict]:
     """Partition a corpus of twist vectors into equivalence classes.
 
-    Union-find over pairwise diffeo_equivalent, comparisons in fixed
-    order; the corpus is validated once, not on every comparison. Each
-    class reports the lexicographically least representative by (sorted
-    absolute values, parities), its members in input order, and the
-    shared Pontrjagin multiset; classes are sorted by that key.
-
-    `mapper`, when given, evaluates the pair comparisons (signature of
-    builtin map, order-preserving); unions are always applied serially
-    in pair order, so results do not depend on evaluation scheduling.
+    Vectors are grouped by _invariant, which is complete for the one-twist
+    criterion, so no pair is compared. Each class reports the
+    lexicographically least representative by (sorted absolute values,
+    parities), its members in input order, and the shared Pontrjagin
+    multiset; classes are sorted by that key.
     """
     vecs = [_vec(v) for v in corpus]
     if vecs:
@@ -145,35 +170,15 @@ def classify(corpus, mapper=None) -> list[dict]:
         for v in vecs:
             if len(v) != k:
                 raise ValueError("corpus vectors must have uniform length")
-    parent = list(range(len(vecs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if mapper is None:
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if find(i) != find(j) and _match(vecs[i], vecs[j])[0]:
-                    parent[find(j)] = find(i)
-    else:
-        pairs = [(i, j) for i in range(len(vecs)) for j in range(i + 1, len(vecs))]
-        hits = mapper(lambda p: _match(vecs[p[0]], vecs[p[1]])[0], pairs)
-        for (i, j), hit in zip(pairs, hits):
-            if hit and find(i) != find(j):
-                parent[find(j)] = find(i)
-
     groups: dict = {}
-    for idx in range(len(vecs)):
-        groups.setdefault(find(idx), []).append(idx)
+    for v in vecs:
+        groups.setdefault(_invariant(v), []).append(v)
     classes = []
     for members in groups.values():
-        rep = min((vecs[i] for i in members), key=_class_key)
+        rep = min(members, key=_class_key)
         classes.append({
             "representative": list(rep),
-            "members": [list(vecs[i]) for i in members],
+            "members": [list(v) for v in members],
             "size": len(members),
             "pontrjagin": list(pontrjagin_invariant(rep)),
         })

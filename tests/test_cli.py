@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, payload shapes, byte-stable output."""
 
+import hashlib
 import json
 
 import pytest
@@ -143,17 +144,16 @@ class TestClassify:
         assert rc == 3
         assert str(CLASSIFY_GUARD) in err
 
-    def test_byte_stability_across_threads(self, capsys, monkeypatch):
-        outs = []
-        for threads in ("1", "4", "13"):
-            monkeypatch.setenv("BOTT_RIGIDITY_THREADS", threads)
-            rc, out, _ = run(capsys, ["classify", "--n", "3", "--bound", "2"])
-            assert rc == 0
-            outs.append(out)
-        assert outs[0] == outs[1] == outs[2]
-        monkeypatch.setenv("BOTT_RIGIDITY_THREADS", "not-a-number")
-        rc, out, _ = run(capsys, ["classify", "--n", "3", "--bound", "2"])
-        assert rc == 0 and out == outs[0]
+    def test_pinned_height_six_digest(self, capsys):
+        rc, out, _ = run(capsys, ["classify", "--n", "6", "--bound", "2"])
+        assert rc == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "4923cf947c5e1fd55199c0df95591f7cee2c147b81d04e3f92cb302781d70b46")
+
+    def test_certified_is_a_twist_only_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--n", "2", "--bound", "1", "--certified"])
+        assert exc.value.code == 2
 
     def test_repeated_runs_are_identical(self, capsys):
         first = run(capsys, ["classify", "--n", "3", "--bound", "1"])
