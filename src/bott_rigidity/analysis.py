@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .core import BottMatrix, BottRing, CoeffMode, CoeffRing
 from .linalg import det_fraction, maximal_minors_gcd, rank_fraction, solve_linear
@@ -239,8 +239,40 @@ class IsoReport:
     moduli_checked: tuple
 
 
+# Largest scan, in vectors per row, allowed for an odd modulus q: q**n must
+# not exceed it. It equals 8**4, the mod-8 scan at height 4.
+ODD_SCAN_LIMIT = 8 ** 4
+
+
+def _odd_primes(value: int) -> set:
+    """Odd primes dividing a nonzero integer, by trial division."""
+    value, primes, d = abs(value), set(), 2
+    while d * d <= value:
+        while value % d == 0:
+            primes.add(d)
+            value //= d
+        d += 1
+    if value > 1:
+        primes.add(value)
+    primes.discard(2)
+    return primes
+
+
+def _iso_moduli(a: BottMatrix, b: BottMatrix, mode: CoeffMode):
+    """Moduli to check before the witness search and after it, in order."""
+    if mode is CoeffMode.RATIONAL:
+        return (), ()
+    if mode is CoeffMode.TWO_LOCAL:
+        return (2, 4), (8,)
+    n = a.n
+    entries = [t.entry(i, j) for t in (a, b) for j in range(n) for i in range(j)]
+    primes = set().union(*(_odd_primes(e) for e in entries if e))
+    odd = sorted(q for p in primes for q in (p, p * p) if q ** n <= ODD_SCAN_LIMIT)
+    return (2, 4, *odd), (8,)
+
+
 def ring_isomorphic(a: BottMatrix, b: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
-                    bound: int = 2, moduli=(2, 4, 8)) -> IsoReport:
+                    bound: int = 2) -> IsoReport:
     """Decide graded ring isomorphism over the chosen coefficients.
 
     True comes with a verified change of basis. False only ever comes
@@ -248,9 +280,22 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix, mode: CoeffMode = CoeffMode.IN
     quotient with no unit change of basis (integer-like modes), or an
     exhaustive witness search. When the search had to sample an infinite
     family and found nothing, the answer is None rather than a guess.
+
+    The cheap finite quotients run first: mod 2, mod 4, then (integer
+    mode only) mod p and mod p^2 in ascending order for every odd prime p
+    dividing a nonzero entry of either tower, keeping a modulus q only
+    while q^n <= ODD_SCAN_LIMIT. Then comes the witness search in both
+    directions, and mod 8 after a search that was not exhaustive. Over
+    Z_(2) odd primes are units, so only 2, 4 and 8 apply; over Q no
+    quotient applies.
+
+    Soundness of a quotient mod q: H*(M; Z) is free, so H*(M; Z/q) is
+    H*(M; Z) tensored with Z/q. A change of basis in GL_n(Z) therefore
+    reduces mod q to rows that satisfy the relations mod q and whose
+    determinant is a unit mod q, i.e. nonzero mod the prime p dividing
+    q. When no such rows exist no integral isomorphism exists either.
+    The same holds over Z_(2) for powers of 2.
     """
-    moduli = tuple(m for m in moduli) if mode is not CoeffMode.RATIONAL else ()
-    checked = []
     if a.n != b.n:
         return IsoReport(False, None, "stage count differs", True, mode, ())
     la, lb = square_zero_lines(a), square_zero_lines(b)
@@ -258,12 +303,20 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix, mode: CoeffMode = CoeffMode.IN
         return IsoReport(False, None, "square-zero line count differs", True, mode, ())
     if rank_fraction([list(v) for v in la]) != rank_fraction([list(v) for v in lb]):
         return IsoReport(False, None, "square-zero span rank differs", True, mode, ())
-    if moduli:
-        m0 = moduli[0]
-        checked.append(m0)
-        if not modular_iso_exists(a, b, m0):
-            return IsoReport(False, None, f"no unit change of basis mod {m0}",
-                             True, mode, tuple(checked))
+    before, after = _iso_moduli(a, b, mode)
+    checked = []
+
+    def obstructed(moduli):
+        for m in moduli:
+            checked.append(m)
+            if not modular_iso_exists(a, b, m):
+                return IsoReport(False, None, f"no unit change of basis mod {m}",
+                                 True, mode, tuple(checked))
+        return None
+
+    report = obstructed(before)
+    if report is not None:
+        return report
     rows1, ex1 = _dfs_direction(a, b, mode, bound)
     if rows1 is not None:
         witness = _verified_witness(a, b, rows1, mode, "second_into_first")
@@ -275,11 +328,9 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix, mode: CoeffMode = CoeffMode.IN
     if ex1 or ex2:
         return IsoReport(False, None, "exhaustive search found no unit change of basis",
                          True, mode, tuple(checked))
-    for m in moduli[1:]:
-        checked.append(m)
-        if not modular_iso_exists(a, b, m):
-            return IsoReport(False, None, f"no unit change of basis mod {m}",
-                             True, mode, tuple(checked))
+    report = obstructed(after)
+    if report is not None:
+        return report
     return IsoReport(None, None,
                      "no witness within bound and no obstruction found",
                      False, mode, tuple(checked))
@@ -430,60 +481,93 @@ def even_block_forces_even_det(rows, row_idx, col_idx) -> bool:
     return all(rows[i][j] % 2 == 0 for i in row_idx for j in col_idx)
 
 
-def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
-    """Whether b's presentation maps into a's ring over Z/modulus with odd det.
+def _prime_of(modulus: int) -> int:
+    """The prime p with modulus = p^k for some k >= 1, else ValueError."""
+    if modulus < 2:
+        raise ValueError(f"modulus must be at least 2, got {modulus}")
+    p = next(d for d in range(2, modulus + 1) if modulus % d == 0)
+    rest = modulus
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
+        raise ValueError(f"modulus must be a prime power, got {modulus}")
+    return p
 
-    modulus is a power of 2, where a unit determinant is the same as an
-    odd one; mod-2 row independence is maintained while placing rows, so
-    reaching the last row already guarantees invertibility. A failure is
-    a sound obstruction for both the integral and the 2-local question.
+
+def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
+    """Whether b's presentation maps into a's ring over Z/modulus with unit det.
+
+    modulus is a prime power p^k (anything else raises ValueError). A
+    determinant is a unit mod p^k exactly when it is nonzero mod p, so
+    the placed rows are kept in an echelon form mod p, pushed when a row
+    is placed and popped on backtrack; a row is placed only when it is
+    independent mod p of the earlier ones, so reaching the last row
+    already guarantees invertibility. Candidate rows for a twist image u
+    are generated coordinate by coordinate, because the relation for the
+    pair (i, j) involves only w_i, w_j and u; they come out in the
+    lexicographic order of product(range(modulus), repeat=n) and are
+    memoized by u. A failure is a sound obstruction for the integral
+    question and, for powers of 2, for the 2-local one.
     """
+    p = _prime_of(modulus)
     n = a.n
     if n != b.n:
         return False
-    vectors = list(product(range(modulus), repeat=n))
+    c = [[a.entry(i, j) for j in range(n)] for i in range(n)]
+    twist = [b.column(k) for k in range(n)]
+    memo: dict = {}
     rows: list = []
+    echelon: list = []
 
-    def mod2_rank(extra):
-        mat = [list(r) for r in rows] + [list(extra)]
-        cols = n
-        rank = 0
-        work = [[x % 2 for x in r] for r in mat]
-        for c in range(cols):
-            piv = next((r for r in range(rank, len(work)) if work[r][c]), None)
-            if piv is None:
-                continue
-            work[rank], work[piv] = work[piv], work[rank]
-            for r in range(len(work)):
-                if r != rank and work[r][c]:
-                    work[r] = [(x + y) % 2 for x, y in zip(work[r], work[rank])]
-            rank += 1
-        return rank
+    def candidates(u):
+        out = []
+        w = [0] * n
+
+        def fill(j):
+            if j == n:
+                out.append(tuple(w))
+                return
+            uj = u[j]
+            for x in range(modulus):
+                # pair (i, j): 2 w_i w_j + c_ij w_j^2 - u_i w_j - u_j w_i - c_ij u_j w_j = 0,
+                # factored in x = w_j
+                for i in range(j):
+                    if (x * (2 * w[i] + c[i][j] * (x - uj) - u[i]) - uj * w[i]) % modulus:
+                        break
+                else:
+                    w[j] = x
+                    fill(j + 1)
+
+        fill(0)
+        return out
+
+    def reduced(w):
+        v = [x % p for x in w]
+        for piv, r in echelon:
+            f = v[piv]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, r)]
+        return v
 
     def rec(k):
         if k == n:
             return True
-        u = [sum(b.entry(i, k) * rows[i][c] for i in range(k)) % modulus for c in range(n)]
-        for w in vectors:
-            good = True
-            for j in range(n):
-                for i in range(j):
-                    cij = a.entry(i, j)
-                    lhs = (2 * w[i] * w[j] + cij * w[j] * w[j]
-                           - u[i] * w[j] - u[j] * w[i] - cij * u[j] * w[j])
-                    if lhs % modulus:
-                        good = False
-                        break
-                if not good:
-                    break
-            if not good:
+        u = tuple(sum(t * r[col] for t, r in zip(twist[k], rows)) % modulus
+                  for col in range(n))
+        if u not in memo:
+            memo[u] = candidates(u)
+        for w in memo[u]:
+            v = reduced(w)
+            piv = next((col for col, x in enumerate(v) if x), None)
+            if piv is None:
                 continue
-            if mod2_rank(w) != k + 1:
-                continue
+            inv = pow(v[piv], -1, p)
+            echelon.append((piv, [x * inv % p for x in v]))
             rows.append(w)
             if rec(k + 1):
                 return True
             rows.pop()
+            echelon.pop()
         return False
 
     return rec(0)

@@ -15,6 +15,7 @@ basis are produced without scanning a coefficient box.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .core import BottMatrix, CoeffMode
@@ -311,8 +312,18 @@ def _case_pinned_rational(matrix, s, m, col, sim, probe):
     return vals, True
 
 
-def primitive_rows_box(n: int, bound: int) -> list[tuple[int, ...]]:
-    """Primitive integer vectors in [-bound, bound]^n, first nonzero entry positive."""
+def primitive_rows_box(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer vectors in [-bound, bound]^n, first nonzero entry positive.
+
+    The box is built once per (n, bound) and shared between callers, so it
+    is returned as a tuple. The cache sits on a private helper so that this
+    name stays a plain function, which bench/tracing.py wraps and counts.
+    """
+    return _primitive_rows_box(n, bound)
+
+
+@lru_cache(maxsize=32)
+def _primitive_rows_box(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
     out = []
 
     def rec(prefix):
@@ -331,4 +342,4 @@ def primitive_rows_box(n: int, bound: int) -> list[tuple[int, ...]]:
 
     seen: set = set()
     rec(())
-    return out
+    return tuple(out)

@@ -17,6 +17,7 @@ from bott_rigidity import (
     BottRing,
     CoeffMode,
     complexity_oracle,
+    diffeo_equivalent,
     even_block_forces_even_det,
     find_reducible_stage,
     modular_iso_exists,
@@ -173,13 +174,45 @@ class TestRingIsomorphic:
         assert rep.isomorphic is False and rep.complete
         assert "mod 4" in rep.reason
 
-    def test_honest_none_outside_search_bound(self):
-        # entry 3 exceeds the default row bound; the verdict stays open
-        # rather than being guessed (the one-twist route settles this pair)
+    def test_odd_prime_obstruction(self):
+        # entry 3 exceeds the default row bound, but no unit change of
+        # basis exists mod 3, and that check runs before the witness search
         a = BottMatrix.from_last_column([1, 1])
         b = BottMatrix.from_last_column([1, 3])
         rep = ring_isomorphic(a, b)
+        assert rep.isomorphic is False and rep.complete
+        assert rep.reason == "no unit change of basis mod 3"
+        assert rep.moduli_checked == (2, 4, 3)
+
+    def test_honest_none_outside_search_bound(self):
+        # inequivalent (|products| 3, 3, 9 vs 9, 9, 9), but mod 2, 4, 3 and
+        # 8 all admit a change of basis and 9^4 exceeds the odd-modulus scan
+        # limit; the verdict stays open rather than being guessed
+        a = BottMatrix.from_last_column([1, 3, 3])
+        b = BottMatrix.from_last_column([3, 3, 3])
+        rep = ring_isomorphic(a, b)
         assert rep.isomorphic is None and not rep.complete
+        assert rep.moduli_checked == (2, 4, 3, 8)
+
+    def test_integer_verdicts_match_criterion_on_box(self):
+        # every unordered pair of one-twist vectors over [-3,3]^2 is decided,
+        # and each verdict equals the closed-form criterion
+        vecs = list(product(range(-3, 4), repeat=2))
+        for i, x in enumerate(vecs):
+            for y in vecs[i:]:
+                rep = ring_isomorphic(BottMatrix.from_last_column(list(x)),
+                                      BottMatrix.from_last_column(list(y)))
+                assert rep.isomorphic is diffeo_equivalent(x, y)[0], (x, y, rep.reason)
+
+    def test_odd_moduli_only_in_integer_mode(self):
+        # p and p^2 for the odd primes of the entries, in ascending order,
+        # while q^3 <= 8^4 (so 25 is left out); odd primes are units over
+        # Z_(2), and Q has no finite quotient
+        a = BottMatrix.from_last_column([3, 5])
+        checked = {mode: ring_isomorphic(a, a, mode).moduli_checked for mode in CoeffMode}
+        assert checked[CoeffMode.INTEGER] == (2, 4, 3, 5, 9)
+        assert checked[CoeffMode.TWO_LOCAL] == (2, 4)
+        assert checked[CoeffMode.RATIONAL] == ()
 
     def test_stage_count_obstruction(self):
         rep = ring_isomorphic(BottMatrix.zeros(2), BottMatrix.zeros(3))
@@ -225,7 +258,73 @@ class TestRingIsomorphic:
             assert vz is not None and vz == v2
 
 
+def _brute_modular_iso(a, b, modulus):
+    """Reference: every vector of (Z/modulus)^n per row, full rank mod p."""
+    p = next(d for d in range(2, modulus + 1) if modulus % d == 0)
+    n = a.n
+    vectors = list(product(range(modulus), repeat=n))
+    rows = []
+
+    def rank_mod_p(mat):
+        work = [[x % p for x in r] for r in mat]
+        rank = 0
+        for c in range(n):
+            piv = next((r for r in range(rank, len(work)) if work[r][c]), None)
+            if piv is None:
+                continue
+            work[rank], work[piv] = work[piv], work[rank]
+            inv = pow(work[rank][c], -1, p)
+            work[rank] = [x * inv % p for x in work[rank]]
+            for r in range(len(work)):
+                if r != rank and work[r][c]:
+                    f = work[r][c]
+                    work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
+            rank += 1
+        return rank
+
+    def rec(k):
+        if k == n:
+            return True
+        u = [sum(b.entry(i, k) * rows[i][c] for i in range(k)) % modulus for c in range(n)]
+        for w in vectors:
+            if any((2 * w[i] * w[j] + a.entry(i, j) * w[j] * w[j] - u[i] * w[j]
+                    - u[j] * w[i] - a.entry(i, j) * u[j] * w[j]) % modulus
+                   for j in range(n) for i in range(j)):
+                continue
+            if rank_mod_p(rows + [w]) != k + 1:
+                continue
+            rows.append(w)
+            if rec(k + 1):
+                return True
+            rows.pop()
+        return False
+
+    return rec(0)
+
+
 class TestModularIso:
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 5, 8, 9])
+    def test_matches_brute_force_reference(self, modulus):
+        rng = random.Random(1000 + modulus)
+        outcomes = set()
+        for n, count in ((2, 30), (3, 6 if modulus < 8 else 1)):
+            for _ in range(count):
+                a, b = rand_bott(rng, n, 3), rand_bott(rng, n, 3)
+                got = modular_iso_exists(a, b, modulus)
+                assert got == _brute_modular_iso(a, b, modulus), (a, b)
+                outcomes.add(got)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("modulus", [1, 0, -4])
+    def test_modulus_below_two_rejected(self, modulus):
+        # modulus 1 used to report an obstruction for a tower and itself
+        with pytest.raises(ValueError, match=f"got {modulus}"):
+            modular_iso_exists(HIRZ_1, HIRZ_1, modulus)
+
+    def test_non_prime_power_rejected(self):
+        with pytest.raises(ValueError, match="prime power"):
+            modular_iso_exists(HIRZ_1, HIRZ_1, 6)
+
     def test_necessary_condition(self):
         # an exact isomorphism must survive every finite quotient
         for m in (2, 4, 8):

@@ -126,6 +126,8 @@ class TestSmallHelpers:
             first = next(x for x in r if x)
             assert first > 0
         assert len(set(rows)) == len(rows)
+        # built once per (n, bound) and shared, so it must be immutable
+        assert isinstance(rows, tuple) and primitive_rows_box(2, 1) is rows
 
 
 def in_family(w, fam, mode):
