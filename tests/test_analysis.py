@@ -249,6 +249,26 @@ class TestRingIsomorphic:
             vb = ring_isomorphic(b, a).isomorphic
             assert va == vb
 
+    def test_pinned_verdicts_and_witnesses_in_every_mode(self):
+        # the 325 unordered one-twist pairs of [-2,2]^2 and 40 seeded pairs
+        # of height-3 towers, each in every mode: the digest pins verdict,
+        # reason, completeness, moduli and witness (entry types included)
+        vecs = list(product(range(-2, 3), repeat=2))
+        pairs = [(BottMatrix.from_last_column(list(x)), BottMatrix.from_last_column(list(y)))
+                 for i, x in enumerate(vecs) for y in vecs[i:]]
+        rng = random.Random(5)
+        for _ in range(40):
+            a, b = ([rng.randint(-2, 2) for _ in range(3)] for _ in range(2))
+            pairs.append((BottMatrix(_tower(3, a)), BottMatrix(_tower(3, b))))
+        lines = []
+        for mode in CoeffMode:
+            for a, b in pairs:
+                rep = ring_isomorphic(a, b, mode)
+                lines.append(repr((a, b, mode.value, rep.isomorphic, rep.reason, rep.complete,
+                                   rep.moduli_checked, rep.witness)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "9d29f387815ee79db66d0f736710344ac78b890ece90cc66ffb0463fd9afed28"
+
     def test_modes_agree_on_small_corpus(self):
         for x, y in [((1,), (3,)), ((2,), (0,)), ((1,), (2,)), ((1, 1), (1, 2))]:
             a = BottMatrix.from_last_column(list(x))
