@@ -11,7 +11,6 @@ from .core import (
     BottMatrix,
     BottRing,
     CoeffMode,
-    CoeffRing,
     LineClass,
     RingElement,
     inverse_pair_coefficient_condition,
@@ -66,7 +65,7 @@ from .quasitoric import (
 )
 
 __all__ = [
-    "BottMatrix", "BottRing", "CoeffMode", "CoeffRing", "LineClass", "RingElement",
+    "BottMatrix", "BottRing", "CoeffMode", "LineClass", "RingElement",
     "inverse_pair_coefficient_condition", "pontrjagin_one_twist",
     "total_chern_sum", "whitney_sum_trivial",
     "admissible_permutations", "conjugate", "is_admissible", "normalize_last_twist",

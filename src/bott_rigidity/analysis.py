@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import BottMatrix, BottRing, CoeffMode, CoeffRing
+from .core import BottMatrix, BottRing, CoeffMode
 from .linalg import det_fraction, maximal_minors_gcd, rank_fraction, solve_linear
 from .moves import trivialize_stage, stage_fibration_trivial
 from .quadratic import (
@@ -32,14 +32,6 @@ from .quadratic import (
 )
 
 
-def _value_ok(mode: CoeffMode):
-    if mode is CoeffMode.INTEGER:
-        return lambda f: f.denominator == 1
-    if mode is CoeffMode.TWO_LOCAL:
-        return lambda f: f.denominator % 2 == 1
-    return lambda f: True
-
-
 def _check_bound(bound: int) -> None:
     if bound < 1:
         raise ValueError(f"box bound must be at least 1, got {bound}")
@@ -47,6 +39,7 @@ def _check_bound(bound: int) -> None:
 
 def find_reducible_stage(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER):
     """Highest twisted stage whose twist form is even and squares to zero."""
+    mode = CoeffMode(mode)
     for m in reversed(range(matrix.n)):
         if not matrix.is_zero_column(m) and stage_fibration_trivial(matrix, m, mode):
             return m
@@ -74,6 +67,7 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     taller than certify_n_max skip the oracle and come back uncertified
     with budget_exhausted set.
     """
+    mode = CoeffMode(mode)
     cur = matrix
     moves = []
     while True:
@@ -126,10 +120,11 @@ def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     any bound >= 1. certified means the value met the lower bound;
     otherwise it is only an upper bound at this box bound.
     """
+    mode = CoeffMode(mode)
     _check_bound(bound)
     n = matrix.n
     lines = square_zero_lines(matrix)
-    unit = CoeffRing(mode).is_unit
+    unit = mode.is_unit
     best = 0
     for k in range(len(lines), 0, -1):
         if any(unit(maximal_minors_gcd(sub)) for sub in combinations(lines, k)):
@@ -161,8 +156,8 @@ def _presentation_search(matrix, mode, lines, pool, s):
     need = n - s
     if need > len(lines) or need < 0:
         return None
-    ok = _value_ok(mode)
-    unit = CoeffRing(mode).is_unit
+    ok = mode.contains
+    unit = mode.is_unit
     pairs = [(i, j) for j in range(n) for i in range(j)]
     for base in combinations(lines, need):
         if not unit(maximal_minors_gcd(base)):
@@ -244,31 +239,35 @@ class IsoReport:
 ODD_SCAN_LIMIT = 8 ** 4
 
 
-def _odd_primes(value: int) -> set:
-    """Odd primes dividing a nonzero integer, by trial division."""
-    value, primes, d = abs(value), set(), 2
+def _prime_factors(value: int) -> list:
+    """Distinct primes dividing a nonzero integer, ascending, by trial division."""
+    value, primes, d = abs(value), [], 2
     while d * d <= value:
-        while value % d == 0:
-            primes.add(d)
-            value //= d
+        if value % d == 0:
+            primes.append(d)
+            while value % d == 0:
+                value //= d
         d += 1
     if value > 1:
-        primes.add(value)
-    primes.discard(2)
+        primes.append(value)
     return primes
 
 
 def _iso_moduli(a: BottMatrix, b: BottMatrix, mode: CoeffMode):
-    """Moduli to check before the witness search and after it, in order."""
-    if mode is CoeffMode.RATIONAL:
+    """Moduli to check before the witness search and after it, in order.
+
+    Only a prime that is not a unit of the coefficient ring can obstruct:
+    2 and the odd primes of the entries over Z, only 2 over Z_(2), none
+    over Q.
+    """
+    if mode.is_unit(2):
         return (), ()
-    if mode is CoeffMode.TWO_LOCAL:
-        return (2, 4), (8,)
     n = a.n
     entries = [t.entry(i, j) for t in (a, b) for j in range(n) for i in range(j)]
-    primes = set().union(*(_odd_primes(e) for e in entries if e))
-    odd = sorted(q for p in primes for q in (p, p * p) if q ** n <= ODD_SCAN_LIMIT)
-    return (2, 4, *odd), (8,)
+    odd = {p for e in entries if e for p in _prime_factors(e)
+           if p != 2 and not mode.is_unit(p)}
+    odd_moduli = sorted(q for p in odd for q in (p, p * p) if q ** n <= ODD_SCAN_LIMIT)
+    return (2, 4, *odd_moduli), (8,)
 
 
 def ring_isomorphic(a: BottMatrix, b: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
@@ -296,6 +295,7 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix, mode: CoeffMode = CoeffMode.IN
     q. When no such rows exist no integral isomorphism exists either.
     The same holds over Z_(2) for powers of 2.
     """
+    mode = CoeffMode(mode)
     if a.n != b.n:
         return IsoReport(False, None, "stage count differs", True, mode, ())
     la, lb = square_zero_lines(a), square_zero_lines(b)
@@ -347,7 +347,7 @@ def _verified_witness(host, target, rows, mode, direction):
         if not (elems[k] * elems[k] - u * elems[k]).is_zero():
             raise AssertionError("witness failed relation replay")
     det = det_fraction([list(r) for r in rows])
-    if not CoeffRing(mode).is_unit(det):
+    if not mode.is_unit(det):
         raise AssertionError("witness determinant is not a unit")
     return {"direction": direction, "rows": [list(r) for r in rows], "det": det}
 
@@ -392,7 +392,7 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode, bound:
     def rec(k):
         if k == n:
             det = det_fraction([list(r) for r in rows])
-            return CoeffRing(mode).is_unit(det)
+            return mode.is_unit(det)
         for w in candidates(k):
             if rank_fraction([list(r) for r in rows] + [list(w)]) != k + 1:
                 continue
@@ -411,49 +411,17 @@ def _final_family_rows(rows, fam, mode: CoeffMode):
     """Exact unit-determinant members of a family w0 + t*step in the last row.
 
     The determinant is linear in the free row: det = A + t C with
-    A = det(rows, w0) and C = det(rows, step), so each mode reduces to a
-    congruence or a linear equation in t.
+    A = det(rows, w0) and C = det(rows, step), so the mode picks t by a
+    congruence or a linear equation (CoeffMode.unit_parameters).
     """
     w0, step = fam
     A = det_fraction([list(r) for r in rows] + [list(w0)])
     C = det_fraction([list(r) for r in rows] + [list(step)])
     out = []
-
-    def emit(t):
+    for t in mode.unit_parameters(A, C):
         w = tuple(a + t * b for a, b in zip(w0, step))
         if any(w):
             out.append(w)
-
-    if mode is CoeffMode.INTEGER:
-        for target in (1, -1):
-            if C != 0:
-                t = Fraction(target - A, 1) / C
-                if t.denominator == 1:
-                    emit(int(t))
-            elif A == target:
-                emit(0)
-                emit(1)
-    elif mode is CoeffMode.TWO_LOCAL:
-        a_, c_ = Fraction(A), Fraction(C)
-        if a_.denominator != 1 or c_.denominator != 1:
-            raise AssertionError("2-local family rows should be integral")
-        ai, ci = int(a_), int(c_)
-        if ci == 0:
-            if ai % 2 == 1:
-                emit(0)
-                emit(1)
-        elif ci % 2 == 1:
-            t0 = (1 - ai) % 2
-            for t in (t0, t0 + 2, t0 - 2):
-                emit(t)
-        elif ai % 2 == 1:
-            emit(0)
-            emit(1)
-    else:
-        for t in (0, 1, -1, 2):
-            if A + t * C != 0:
-                emit(Fraction(t))
-                break
     return out
 
 
@@ -485,13 +453,10 @@ def _prime_of(modulus: int) -> int:
     """The prime p with modulus = p^k for some k >= 1, else ValueError."""
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
-    p = next(d for d in range(2, modulus + 1) if modulus % d == 0)
-    rest = modulus
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
+    primes = _prime_factors(modulus)
+    if len(primes) != 1:
         raise ValueError(f"modulus must be a prime power, got {modulus}")
-    return p
+    return primes[0]
 
 
 def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:

@@ -23,7 +23,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -63,14 +62,6 @@ from .quasitoric import (
 
 CLASSIFY_GUARD = 200_000
 CERTIFY_N_MAX = 4
-
-
-@dataclass
-class RunConfig:
-    coeff_ring: CoeffMode = CoeffMode.INTEGER
-    coeff_bound: int = 2
-    seed: int = 0
-    output_format: str = "json"
 
 
 class InputError(ValueError):
@@ -141,8 +132,7 @@ def _inline(v) -> str:
     return json.dumps(_jsonable(v), sort_keys=True, separators=(",", ":"))
 
 
-def _emit(payload: dict, cfg: RunConfig, table: tuple[list[str], list[dict]] | None = None):
-    fmt = cfg.output_format
+def _emit(payload: dict, fmt: str, table: tuple[list[str], list[dict]] | None = None):
     if fmt == "json":
         sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True) + "\n")
         return
@@ -168,10 +158,10 @@ def _emit(payload: dict, cfg: RunConfig, table: tuple[list[str], list[dict]] | N
 # subcommands
 
 
-def cmd_twist(cfg: RunConfig, args) -> int:
+def cmd_twist(args) -> int:
     matrix = _load_bott_matrix(args.matrix_file)
-    report = twist_number(matrix, cfg.coeff_ring, certify=True,
-                          bound=max(1, cfg.coeff_bound), certify_n_max=CERTIFY_N_MAX)
+    report = twist_number(matrix, args.ring, certify=True,
+                          bound=max(1, args.bound), certify_n_max=CERTIFY_N_MAX)
     oracle = None
     if report.oracle is not None:
         oracle = {
@@ -187,13 +177,13 @@ def cmd_twist(cfg: RunConfig, args) -> int:
         "final_matrix": report.final_matrix.to_lists(),
         "oracle": oracle,
     }
-    _emit(payload, cfg)
+    _emit(payload, args.output_format)
     if args.certified and not report.certified_minimal:
         return 3
     return 0
 
 
-def cmd_equiv(cfg: RunConfig, args) -> int:
+def cmd_equiv(args) -> int:
     alpha = _load_vector(args.vector_file_a)
     beta = _load_vector(args.vector_file_b)
     try:
@@ -206,15 +196,15 @@ def cmd_equiv(cfg: RunConfig, args) -> int:
         "witness": {"sigma": list(witness.sigma)} if witness is not None else None,
         "pontrjagin": [list(pontrjagin_invariant(alpha)), list(pontrjagin_invariant(beta))],
     }
-    _emit(payload, cfg)
+    _emit(payload, args.output_format)
     return 0 if equivalent else 1
 
 
-def cmd_classify(cfg: RunConfig, args) -> int:
+def cmd_classify(args) -> int:
     n = args.n
     if n < 1:
         raise InputError("--n must be at least 1")
-    bound = cfg.coeff_bound
+    bound = args.bound
     total = (2 * bound + 1) ** (n - 1)
     if total > CLASSIFY_GUARD:
         sys.stderr.write(
@@ -229,12 +219,12 @@ def cmd_classify(cfg: RunConfig, args) -> int:
         "class_count": len(classes),
         "classes": classes,
     }
-    _emit(payload, cfg,
+    _emit(payload, args.output_format,
           table=(["class_id", "representative", "size", "pontrjagin"], classes))
     return 0
 
 
-def cmd_recognize(cfg: RunConfig, args) -> int:
+def cmd_recognize(args) -> int:
     rows = _load_square_matrix(args.matrix_file)
     try:
         valid = validate_characteristic(rows)
@@ -248,7 +238,7 @@ def cmd_recognize(cfg: RunConfig, args) -> int:
             payload["bott"] = True
             payload["sigma"] = list(sigma)
             payload["bott_matrix"] = to_bott_matrix(rows, sigma).to_lists()
-    _emit(payload, cfg)
+    _emit(payload, args.output_format)
     return 0 if payload["bott"] else 1
 
 
@@ -643,7 +633,7 @@ SELFTEST_CHECKS = [
 ]
 
 
-def cmd_selftest(cfg: RunConfig, args) -> int:
+def cmd_selftest(args) -> int:
     def run_one(name, fn, check_seed):
         try:
             ok, detail = fn(random.Random(check_seed))
@@ -651,11 +641,11 @@ def cmd_selftest(cfg: RunConfig, args) -> int:
             ok, detail = False, f"exception: {exc!r}"
         return {"name": name, "ok": ok, "detail": detail}
 
-    results = [run_one(name, fn, cfg.seed * 1_000_003 + i)
+    results = [run_one(name, fn, args.seed * 1_000_003 + i)
                for i, (name, fn) in enumerate(SELFTEST_CHECKS)]
 
     passed = sum(1 for r in results if r["ok"])
-    if cfg.output_format == "text":
+    if args.output_format == "text":
         for r in results:
             mark = "PASS" if r["ok"] else "FAIL"
             sys.stdout.write(f"{mark} {r['name']}: {r['detail']}\n")
@@ -666,9 +656,9 @@ def cmd_selftest(cfg: RunConfig, args) -> int:
             "passed": passed,
             "total": len(results),
             "ok": passed == len(results),
-            "seed": cfg.seed,
+            "seed": args.seed,
         }
-        _emit(payload, cfg, table=(["name", "ok", "detail"], results))
+        _emit(payload, args.output_format, table=(["name", "ok", "detail"], results))
     return 0 if passed == len(results) else 1
 
 
@@ -677,15 +667,14 @@ def cmd_selftest(cfg: RunConfig, args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each flag sits on the subcommands that read it; elsewhere it is a
+    # usage error rather than silently ignored
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", choices=[m.value for m in CoeffMode], default="z",
-                        help="coefficient ring (default z)")
-    common.add_argument("--bound", type=int, default=2,
-                        help="search bound for witnesses and enumeration boxes")
     common.add_argument("--format", dest="output_format",
                         choices=["json", "csv", "text"], default="json")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property sampling")
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--bound", type=int, default=2,
+                         help="search bound for witnesses and enumeration boxes")
 
     parser = argparse.ArgumentParser(
         prog="bott-rigidity",
@@ -693,9 +682,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and Bott recognition, all in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("twist", parents=[common],
+    p = sub.add_parser("twist", parents=[common, bounded],
                        help="greedy twist number of a tower matrix")
     p.add_argument("matrix_file")
+    p.add_argument("--ring", choices=[m.value for m in CoeffMode], default="z",
+                   help="coefficient ring (default z)")
     p.add_argument("--certified", action="store_true",
                    help="exit 3 unless minimality was certified")
 
@@ -704,7 +695,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("vector_file_a")
     p.add_argument("vector_file_b")
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[common, bounded],
                        help="partition a box of one-twist vectors")
     p.add_argument("--n", type=int, required=True,
                    help="tower height; vectors live in [-bound, bound]^(n-1)")
@@ -713,8 +704,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="decide whether a characteristic matrix is a tower")
     p.add_argument("matrix_file")
 
-    sub.add_parser("selftest", parents=[common],
-                   help="run the seeded property-check battery")
+    p = sub.add_parser("selftest", parents=[common],
+                       help="run the seeded property-check battery")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized property sampling")
     return parser
 
 
@@ -730,15 +723,11 @@ HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.bound < 0:
+    if "bound" in args and args.bound < 0:
         sys.stderr.write("--bound must be nonnegative\n")
         return 2
-    cfg = RunConfig(coeff_ring=CoeffMode(args.ring),
-                    coeff_bound=args.bound,
-                    seed=args.seed,
-                    output_format=args.output_format)
     try:
-        return HANDLERS[args.command](cfg, args)
+        return HANDLERS[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2

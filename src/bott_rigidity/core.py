@@ -36,63 +36,103 @@ def integer_entries(values, where: str) -> tuple[int, ...]:
 
 
 class CoeffMode(str, Enum):
+    """The coefficient ring of a computation: Z, Q or Z_(2).
+
+    Every question about coefficients is asked of a member: which values
+    it contains, which are units, what "divisible by 2" means, and how a
+    value is halved. Z_(2) is the ring of fractions with odd denominator,
+    so over it divisibility by 2 reads off the numerator parity, and over
+    Q it is vacuous. Public functions accept a member or its value ("z",
+    "q", "z2local") and normalise with CoeffMode(mode); anything else
+    raises ValueError.
+    """
+
     INTEGER = "z"
     RATIONAL = "q"
     TWO_LOCAL = "z2local"
 
+    @property
+    def is_field(self) -> bool:
+        """True only for Q, where every nonzero value is a unit."""
+        return self is CoeffMode.RATIONAL
 
-class CoeffRing:
-    """Coefficient arithmetic for one of the three supported modes.
+    def contains(self, value) -> bool:
+        """Whether a rational value (an int or a Fraction) lies in the ring."""
+        return self._admits(value.denominator)
 
-    The mode decides three things: which constants are admitted, which are
-    units, and what "divisible by 2" means. Over Q divisibility by 2 is
-    vacuous; over the 2-local integers it reads off the numerator parity.
-    """
-
-    def __init__(self, mode: CoeffMode = CoeffMode.INTEGER):
-        self.mode = CoeffMode(mode)
-
-    def coerce(self, value):
-        if isinstance(value, bool):
-            raise TypeError("bool is not a ring coefficient")
-        if self.mode is CoeffMode.INTEGER:
-            if isinstance(value, int):
-                return value
-            f = Fraction(value)
-            if f.denominator != 1:
-                raise ValueError(f"{value!r} is not an integer coefficient")
-            return int(f)
-        f = Fraction(value)
-        if self.mode is CoeffMode.TWO_LOCAL and f.denominator % 2 == 0:
-            raise ValueError(f"{value!r} has even denominator, not 2-local")
-        return f
-
-    def is_even(self, value) -> bool:
-        """True when value is divisible by 2 inside the coefficient ring."""
-        if self.mode is CoeffMode.RATIONAL:
-            return True
-        f = Fraction(value)
-        return f.numerator % 2 == 0
-
-    def is_unit(self, value) -> bool:
-        f = Fraction(value)
-        if f == 0:
-            return False
-        if self.mode is CoeffMode.INTEGER:
-            return f.denominator == 1 and abs(f.numerator) == 1
-        if self.mode is CoeffMode.TWO_LOCAL:
-            return f.numerator % 2 == 1 and f.denominator % 2 == 1
+    def _admits(self, denominator: int) -> bool:
+        """Whether 1/denominator lies in the ring, for a positive denominator."""
+        if self is CoeffMode.INTEGER:
+            return denominator == 1
+        if self is CoeffMode.TWO_LOCAL:
+            return denominator % 2 == 1
         return True
 
+    def coerce(self, value):
+        """value as a coefficient: an int over Z, a Fraction otherwise."""
+        if isinstance(value, bool):
+            raise TypeError("bool is not a ring coefficient")
+        if self is CoeffMode.INTEGER and isinstance(value, int):
+            return value
+        f = Fraction(value)
+        if not self.contains(f):
+            if self is CoeffMode.INTEGER:
+                raise ValueError(f"{value!r} is not an integer coefficient")
+            raise ValueError(f"{value!r} has even denominator, not 2-local")
+        return int(f) if self is CoeffMode.INTEGER else f
+
+    def is_even(self, value) -> bool:
+        """Whether value (an int or a Fraction in the ring) is divisible by 2 in it."""
+        return self.is_field or value.numerator % 2 == 0
+
+    def is_unit(self, value) -> bool:
+        """Whether value lies in the ring and so does its inverse."""
+        f = Fraction(value)
+        # the inverse of p/q in lowest terms is q/p, with denominator |p|
+        return f != 0 and self._admits(f.denominator) and self._admits(abs(f.numerator))
+
     def halve(self, value):
+        """value / 2 inside the ring; ValueError when 2 does not divide it.
+
+        The half is an int whenever it is integral and the ring is not Q,
+        so row vectors over Z and Z_(2) stay integer vectors.
+        """
         if not self.is_even(value):
-            raise ValueError(f"{value!r} is not divisible by 2 in mode {self.mode.value}")
-        if self.mode is CoeffMode.INTEGER:
-            return int(value) // 2
+            raise ValueError(f"{value!r} is not divisible by 2 in mode {self.value}")
+        if value.denominator == 1 and not self.is_field:
+            return value.numerator // 2
         return Fraction(value) / 2
 
-    def __repr__(self):
-        return f"CoeffRing({self.mode.value})"
+    def unit_parameters(self, a, c) -> list:
+        """A fixed list of parameters t at which a + t*c is a unit.
+
+        a and c are rationals in the ring. Over Z these are every t with
+        a + t c = 1 or -1 when c != 0, and t = 0, 1 when c = 0 and a is
+        already a unit. Over Z_(2), where a and c must be integers, a + t c
+        is a unit when it is odd: for odd c that fixes the parity of t and
+        three values of that parity are returned; otherwise a must be odd
+        and t = 0, 1 are returned. Over Q, the first t among 0, 1, -1, 2
+        with a + t c != 0, as a Fraction.
+        """
+        if self is CoeffMode.RATIONAL:
+            return [Fraction(t) for t in (0, 1, -1, 2) if a + t * c != 0][:1]
+        if self is CoeffMode.INTEGER:
+            out = []
+            for target in (1, -1):
+                if c != 0:
+                    t = Fraction(target - a) / c
+                    if t.denominator == 1:
+                        out.append(int(t))
+                elif a == target:
+                    out += [0, 1]
+            return out
+        a, c = Fraction(a), Fraction(c)
+        if a.denominator != 1 or c.denominator != 1:
+            raise AssertionError("2-local family rows should be integral")
+        if c.numerator % 2 == 1:
+            t0 = (1 - a.numerator) % 2
+            return [t0, t0 + 2, t0 - 2]
+        return [0, 1] if a.numerator % 2 == 1 else []
 
 
 class BottMatrix:
@@ -178,7 +218,7 @@ class RingElement:
     def __init__(self, ring: "BottRing", terms: dict):
         clean = {}
         for mono, coeff in terms.items():
-            c = ring.coeff.coerce(coeff)
+            c = ring.mode.coerce(coeff)
             if c != 0:
                 clean[frozenset(mono)] = c
         self.ring = ring
@@ -276,7 +316,7 @@ class BottRing:
 
     def __init__(self, matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER):
         self.matrix = matrix
-        self.coeff = CoeffRing(mode)
+        self.mode = CoeffMode(mode)
 
     @property
     def n(self) -> int:

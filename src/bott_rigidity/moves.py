@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .core import BottMatrix, BottRing, CoeffMode, CoeffRing
+from .core import BottMatrix, BottRing, CoeffMode
 
 
 def conjugate(matrix: BottMatrix, perm) -> BottMatrix:
@@ -94,11 +94,11 @@ def stage_fibration_trivial(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffM
     form f_m is divisible by 2 in the coefficient ring and squares to zero
     over the base of stage m.
     """
+    mode = CoeffMode(mode)
     col = matrix.column(m)
     if all(c == 0 for c in col):
         return True
-    coeff = CoeffRing(mode)
-    if not all(coeff.is_even(c) for c in col):
+    if not all(mode.is_even(c) for c in col):
         return False
     base = BottRing(matrix.prefix(m), mode)
     f = base.line_element(col)
@@ -118,6 +118,7 @@ def trivialize_stage(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffMode.INT
     cleared by rescaling generators, which changes no column's zero/nonzero
     status and keeps the rational ring type.
     """
+    mode = CoeffMode(mode)
     n = matrix.n
     col = matrix.column(m)
     if all(c == 0 for c in col):
@@ -136,7 +137,7 @@ def trivialize_stage(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffMode.INT
             rows[i][j] += cjm * half[i]
     denom = lcm(*(rows[i][j].denominator for i in range(n) for j in range(n)), 1)
     if denom > 1:
-        if mode is not CoeffMode.RATIONAL:
+        if not mode.is_field:
             raise AssertionError("even twist form produced fractional entries")
         for i in range(n):
             for j in range(i + 1, n):

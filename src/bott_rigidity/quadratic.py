@@ -118,36 +118,24 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
 
 def _halve_vector(vec, mode: CoeffMode):
     """vec / 2 inside the coefficient ring, or None when 2 does not divide."""
-    out = []
-    for x in vec:
-        f = Fraction(x) / 2
-        if mode is not CoeffMode.RATIONAL:
-            if f.denominator != 1:
-                return None
-            f = int(f)
-        out.append(f)
-    return tuple(out)
+    if not all(mode.is_even(x) for x in vec):
+        return None
+    return tuple(mode.halve(x) for x in vec)
 
 
 def _affine_family(u, line, mode: CoeffMode):
     """The solutions w = (u + t*line)/2, reparametrized as w0 + t*step.
 
-    Over the rationals every t works. Over the integer-like modes the
-    numerator must be even componentwise, which fixes the parity of t
-    (the primitive line always has an odd coordinate); an inconsistent
-    parity kills the family.
+    Over the rationals every t works, so t = 0 gives w0. Over the
+    integer-like modes the numerator must be even componentwise, which
+    fixes the parity of t (the primitive line always has an odd
+    coordinate); an inconsistent parity kills the family.
     """
-    if mode is CoeffMode.RATIONAL:
-        return tuple(Fraction(x) / 2 for x in u), tuple(Fraction(x) for x in line)
-    tau = None
-    for cand in (0, 1):
-        if all((cand * li - ui) % 2 == 0 for ui, li in zip(u, line)):
-            tau = cand
-            break
-    if tau is None:
-        return None
-    w0 = tuple((ui + tau * li) // 2 for ui, li in zip(u, line))
-    return w0, tuple(line)
+    for tau in (0, 1):
+        w0 = _halve_vector([ui + tau * li for ui, li in zip(u, line)], mode)
+        if w0 is not None:
+            return w0, tuple(line)
+    return None
 
 
 class RowSolutions:
@@ -182,6 +170,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
     The zero row solves every instance and is omitted: callers build
     basis rows or unimodular changes of basis, where it never occurs.
     """
+    mode = CoeffMode(mode)
     n = matrix.n
     if lines is None:
         lines = square_zero_lines(matrix)
@@ -212,7 +201,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
         col = [matrix.entry(i, m) for i in range(m)]
         sim = [s.get((i, m), 0) for i in range(m)]
         if any(sim):
-            if mode is CoeffMode.RATIONAL:
+            if mode.is_field:
                 vals, probed = _case_pinned_rational(matrix, s, m, col, sim, probe)
                 exhaustive = exhaustive and not probed
                 for v in vals:
@@ -258,7 +247,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
                     break
             if ok and ratio is not None and ratio > 0:
                 t = perfect_square_root(ratio)
-                if t is not None and (mode is CoeffMode.RATIONAL or t.denominator == 1):
+                if t is not None and (mode.is_field or t.denominator == 1):
                     for tt in (t, -t):
                         push_v(tuple(tt * x for x in delta))
     return RowSolutions(finite, families, exhaustive)

@@ -278,6 +278,38 @@ class TestRingIsomorphic:
             assert vz is not None and vz == v2
 
 
+class TestModeValues:
+    def test_value_string_means_its_member(self):
+        # "q" used to fail the identity tests and be treated as Z, giving a
+        # false "mod 2" obstruction; over Q these two rings are isomorphic
+        a, b = BottMatrix.zeros(2), HIRZ_1
+        rep = ring_isomorphic(a, b, "q")
+        assert rep.isomorphic is True
+        assert rep == ring_isomorphic(a, b, CoeffMode.RATIONAL)
+        assert rep.mode is CoeffMode.RATIONAL
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_values_agree_with_members(self, mode):
+        vecs = list(product(range(-1, 2), repeat=2))
+        for i, x in enumerate(vecs):
+            for y in vecs[i:]:
+                a = BottMatrix.from_last_column(list(x))
+                b = BottMatrix.from_last_column(list(y))
+                rep = ring_isomorphic(a, b, mode.value)
+                assert rep == ring_isomorphic(a, b, mode), (x, y)
+                assert rep.mode is mode
+        assert complexity_oracle(HIRZ_1, mode.value).mode is mode
+
+    def test_unknown_mode_rejected(self):
+        # the zeros(2) vs HIRZ_1 pair is obstructed mod 2 before any ring
+        # is built, so the error must come from normalising the mode
+        for call in (lambda: ring_isomorphic(BottMatrix.zeros(2), HIRZ_1, "bogus"),
+                     lambda: complexity_oracle(HIRZ_1, "bogus"),
+                     lambda: twist_number(HIRZ_1, "bogus")):
+            with pytest.raises(ValueError, match="bogus"):
+                call()
+
+
 def _brute_modular_iso(a, b, modulus):
     """Reference: every vector of (Z/modulus)^n per row, full rank mod p."""
     p = next(d for d in range(2, modulus + 1) if modulus % d == 0)

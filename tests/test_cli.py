@@ -210,3 +210,26 @@ class TestSelftest:
     def test_seed_changes_are_still_green(self, capsys):
         rc, out, _ = run(capsys, ["selftest", "--seed", "7"])
         assert rc == 0 and json.loads(out)["seed"] == 7
+
+
+class TestFlags:
+    # a flag given to a subcommand that does not read it is a usage error:
+    # --ring belongs to twist, --bound to twist and classify, --seed to
+    # selftest (--certified is checked in TestClassify)
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--n", "2", "--ring", "q"],
+        ["classify", "--n", "2", "--seed", "1"],
+        ["equiv", "a.json", "b.json", "--ring", "q"],
+        ["equiv", "a.json", "b.json", "--bound", "1"],
+        ["equiv", "a.json", "b.json", "--seed", "1"],
+        ["recognize", "c.json", "--ring", "q"],
+        ["recognize", "c.json", "--bound", "1"],
+        ["recognize", "c.json", "--seed", "1"],
+        ["selftest", "--ring", "q"],
+        ["selftest", "--bound", "1"],
+        ["twist", "m.json", "--seed", "1"],
+    ], ids=lambda argv: f"{argv[0]}{[a for a in argv if a.startswith('--')][-1]}")
+    def test_flags_outside_their_subcommands_are_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

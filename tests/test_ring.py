@@ -15,7 +15,6 @@ from bott_rigidity import (
     BottMatrix,
     BottRing,
     CoeffMode,
-    CoeffRing,
     LineClass,
     inverse_pair_coefficient_condition,
     pontrjagin_one_twist,
@@ -174,8 +173,9 @@ class TestRingLaws:
 
 
 class TestCoeffRing:
+    # each CoeffMode member is the coefficient ring it names
     def test_integer_mode(self):
-        r = CoeffRing(CoeffMode.INTEGER)
+        r = CoeffMode.INTEGER
         assert r.coerce(3) == 3
         with pytest.raises(ValueError):
             r.coerce(Fraction(1, 2))
@@ -184,14 +184,14 @@ class TestCoeffRing:
         assert r.halve(4) == 2
 
     def test_rational_mode(self):
-        r = CoeffRing(CoeffMode.RATIONAL)
+        r = CoeffMode.RATIONAL
         assert r.coerce(Fraction(1, 2)) == Fraction(1, 2)
         assert r.is_even(3)  # everything halves over Q
         assert r.is_unit(Fraction(2, 7)) and not r.is_unit(0)
         assert r.halve(3) == Fraction(3, 2)
 
     def test_two_local_mode(self):
-        r = CoeffRing(CoeffMode.TWO_LOCAL)
+        r = CoeffMode.TWO_LOCAL
         assert r.coerce(Fraction(1, 3)) == Fraction(1, 3)
         with pytest.raises(ValueError):
             r.coerce(Fraction(1, 2))
@@ -201,7 +201,44 @@ class TestCoeffRing:
 
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
-            CoeffRing(CoeffMode.INTEGER).coerce(True)
+            CoeffMode.INTEGER.coerce(True)
+
+    def test_membership_and_field(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        assert [m.contains(half) for m in CoeffMode] == [False, True, False]
+        assert [m.contains(third) for m in CoeffMode] == [False, True, True]
+        assert all(m.contains(5) for m in CoeffMode)
+        assert [m.is_field for m in CoeffMode] == [False, True, False]
+
+    def test_halve_keeps_integral_halves_integers(self):
+        # over Z and Z_(2) row vectors stay int vectors; over Q every half
+        # is a Fraction
+        assert type(CoeffMode.INTEGER.halve(Fraction(6))) is int
+        assert type(CoeffMode.TWO_LOCAL.halve(6)) is int
+        assert CoeffMode.TWO_LOCAL.halve(Fraction(2, 3)) == Fraction(1, 3)
+        assert type(CoeffMode.RATIONAL.halve(6)) is Fraction
+        with pytest.raises(ValueError):
+            CoeffMode.TWO_LOCAL.halve(3)
+
+    def test_unit_parameters(self):
+        # t with a + t*c a unit: +-1 over Z, odd over Z_(2), nonzero over Q
+        z, z2, q = CoeffMode.INTEGER, CoeffMode.TWO_LOCAL, CoeffMode.RATIONAL
+        assert z.unit_parameters(Fraction(3), Fraction(2)) == [-1, -2]
+        assert z.unit_parameters(Fraction(2), Fraction(3)) == [-1]
+        assert z.unit_parameters(Fraction(-1), Fraction(0)) == [0, 1]
+        assert z.unit_parameters(Fraction(2), Fraction(0)) == []
+        assert z2.unit_parameters(Fraction(2), Fraction(3)) == [1, 3, -1]
+        assert z2.unit_parameters(Fraction(3), Fraction(2)) == [0, 1]
+        assert z2.unit_parameters(Fraction(2), Fraction(2)) == []
+        assert q.unit_parameters(Fraction(0), Fraction(2)) == [Fraction(1)]
+        assert q.unit_parameters(Fraction(0), Fraction(0)) == []
+        assert all(type(t) is int for t in z.unit_parameters(Fraction(3), Fraction(2)))
+        assert all(type(t) is Fraction for t in q.unit_parameters(Fraction(1), Fraction(1)))
+
+    def test_values_name_the_members(self):
+        assert BottRing(HIRZEBRUCH, "z2local").mode is CoeffMode.TWO_LOCAL
+        with pytest.raises(ValueError):
+            BottRing(HIRZEBRUCH, "bogus")
 
 
 class TestLineBundles:
