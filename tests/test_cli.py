@@ -211,6 +211,21 @@ class TestSelftest:
         rc, out, _ = run(capsys, ["selftest", "--seed", "7"])
         assert rc == 0 and json.loads(out)["seed"] == 7
 
+    def test_pinned_stdout_digests(self, capsys):
+        # sha256 of the full stdout: check order, seeds and detail strings
+        pinned = {
+            (0, "json"): "e1b18b39e625287a7e13a7ef0e4e2a29ea7ec834de9e1a0da480df28cb33917d",
+            (0, "text"): "311b6f6b834c6fa9fd18a22ef3a8bd02184ba5831f64622364ff5302c7d38664",
+            (0, "csv"): "8c06eb637cec62f5aff3ccb5123468c4405c8e50be0eafd7f3b7bbd485c0ed67",
+            (7, "json"): "3c44579327f6348653926f59c5ba76edb752822c865856f014bc3d2668431fbf",
+            (7, "text"): "748575f831b027636af90317555cd8c5b51e08614efa2e082adcb4af3f54f35f",
+            (7, "csv"): "3b8cf5f2cc5343863c2cb9b914e907eda06570c854010b4c0d74fd25aa32fd3d",
+        }
+        for (seed, fmt), digest in pinned.items():
+            rc, out, _ = run(capsys, ["selftest", "--seed", str(seed), "--format", fmt])
+            assert rc == 0
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (seed, fmt)
+
 
 class TestFlags:
     # a flag given to a subcommand that does not read it is a usage error:
