@@ -11,7 +11,6 @@ from .core import (
     BottMatrix,
     BottRing,
     CoeffMode,
-    LineClass,
     RingElement,
     inverse_pair_coefficient_condition,
     pontrjagin_one_twist,
@@ -37,11 +36,9 @@ from .analysis import (
     IsoReport,
     TwistReport,
     complexity_oracle,
-    even_block_forces_even_det,
     find_reducible_stage,
     modular_iso_exists,
     ring_isomorphic,
-    square_zero_row_constraints,
     twist_number,
 )
 from .onetwist import (
@@ -54,9 +51,6 @@ from .onetwist import (
     rational_trivial,
 )
 from .quasitoric import (
-    bott_by_exhaustive_permutations,
-    bq_structure_check,
-    cycle_matrix,
     from_bott_matrix,
     is_bott,
     normalize_characteristic,
@@ -65,18 +59,16 @@ from .quasitoric import (
 )
 
 __all__ = [
-    "BottMatrix", "BottRing", "CoeffMode", "LineClass", "RingElement",
+    "BottMatrix", "BottRing", "CoeffMode", "RingElement",
     "inverse_pair_coefficient_condition", "pontrjagin_one_twist",
     "total_chern_sum", "whitney_sum_trivial",
     "admissible_permutations", "conjugate", "is_admissible", "normalize_last_twist",
     "retwist", "stage_fibration_trivial", "trivialize_stage",
     "line_product_pairs", "line_square_pairs", "square_zero_lines",
     "ComplexityReport", "IsoReport", "TwistReport", "complexity_oracle",
-    "even_block_forces_even_det", "find_reducible_stage", "modular_iso_exists",
-    "ring_isomorphic", "square_zero_row_constraints", "twist_number",
+    "find_reducible_stage", "modular_iso_exists", "ring_isomorphic", "twist_number",
     "EquivalenceWitness", "OneTwistClass", "classify", "diffeo_equivalent",
     "integral_trivial", "pontrjagin_invariant", "rational_trivial",
-    "bott_by_exhaustive_permutations", "bq_structure_check", "cycle_matrix",
     "from_bott_matrix", "is_bott", "normalize_characteristic", "to_bott_matrix",
     "validate_characteristic",
 ]

@@ -425,30 +425,6 @@ def _final_family_rows(rows, fam, mode: CoeffMode):
     return out
 
 
-def square_zero_row_constraints(matrix: BottMatrix, row) -> bool:
-    """Whether a change-of-basis row that must square to zero really does.
-
-    Coefficientwise this is 2 b_j b_i = -b_j^2 c[i][j] for every i < j,
-    the constraint any isomorphism imposes on rows whose image generator
-    carries no twist form.
-    """
-    return not line_square_pairs(matrix, row)
-
-
-def even_block_forces_even_det(rows, row_idx, col_idx) -> bool:
-    """Determinant parity cut: an all-even r x t block with r + t > n.
-
-    Every permutation product must then pick at least one entry from the
-    block, so the determinant is even. Returns True when the rule applies
-    to the given index sets, False when it is silent (not a parity claim
-    about the determinant itself).
-    """
-    n = len(rows)
-    if len(row_idx) + len(col_idx) <= n:
-        return False
-    return all(rows[i][j] % 2 == 0 for i in row_idx for j in col_idx)
-
-
 def _prime_of(modulus: int) -> int:
     """The prime p with modulus = p^k for some k >= 1, else ValueError."""
     if modulus < 2:

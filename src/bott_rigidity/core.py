@@ -15,7 +15,6 @@ exact and arbitrary precision.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -412,22 +411,6 @@ class BottRing:
         return not prod.is_zero()
 
 
-@dataclass(frozen=True)
-class LineClass:
-    """A degree-2 class recorded by its generator coefficients."""
-
-    coeffs: tuple
-
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def to_element(self, ring: BottRing) -> RingElement:
-        return ring.line_element(self.coeffs)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
 def total_chern_sum(ring: BottRing, alpha, beta) -> RingElement:
     """Total Chern class (1 + alpha)(1 + beta) of a sum of two line bundles."""
     a = alpha if isinstance(alpha, RingElement) else ring.line_element(alpha)
@@ -447,7 +430,7 @@ def inverse_pair_coefficient_condition(matrix: BottMatrix, alpha) -> bool:
     is trivial exactly when a_j^2 c[i][j] = -2 a_j a_i for all i < j, which
     is the coefficientwise statement of alpha^2 = 0.
     """
-    a = [int(x) for x in alpha]
+    a = integer_entries(alpha, "line class")
     n = matrix.n
     if len(a) != n:
         raise ValueError(f"expected {n} coefficients, got {len(a)}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .core import BottMatrix, BottRing, CoeffMode
+from .core import BottMatrix, BottRing, CoeffMode, integer_entries
 
 
 def conjugate(matrix: BottMatrix, perm) -> BottMatrix:
@@ -155,8 +155,8 @@ def retwist(alpha, w):
     twists present the same total space. Returns the new twist vector, or
     None when the move does not apply.
     """
-    alpha = [int(a) for a in alpha]
-    w = [int(x) for x in w]
+    alpha = integer_entries(alpha, "twist vector")
+    w = integer_entries(w, "retwist vector")
     if len(alpha) != len(w):
         raise ValueError("alpha and w must have the same length")
     base = BottRing(BottMatrix.zeros(len(alpha)))

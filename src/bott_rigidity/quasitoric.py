@@ -11,23 +11,21 @@ topological order and subtracting the identity yields the Bott matrix.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .core import BottMatrix, BottRing, CoeffMode
+from .core import BottMatrix, integer_entries
 from .linalg import det_int
 
 
 def normalize_characteristic(rows):
-    """Flip row signs to put +1 on the diagonal; None when a diagonal is 0 or odd-sized."""
-    mat = [[int(x) for x in row] for row in rows]
+    """Flip row signs to put +1 on the diagonal; None when a diagonal entry is not +1 or -1."""
+    mat = [integer_entries(row, f"row {i}") for i, row in enumerate(rows)]
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("characteristic matrix must be square")
     out = []
     for i, row in enumerate(mat):
         d = row[i]
-        if d == 0:
-            return None
         if d not in (1, -1):
             return None
         out.append([x if d == 1 else -x for x in row])
@@ -116,51 +114,4 @@ def from_bott_matrix(matrix: BottMatrix):
     rows = matrix.to_lists()
     for i in range(matrix.n):
         rows[i][i] = 1
-    return rows
-
-
-def bott_by_exhaustive_permutations(rows, n_max: int = 6):
-    """Reference recognizer: try every stage order directly.
-
-    Used to validate the digraph route; factorially slow, so guarded.
-    """
-    mat = normalize_characteristic(rows)
-    if mat is None:
-        return False, None
-    n = len(mat)
-    if n > n_max:
-        raise ValueError(f"refusing factorial scan for n={n} > {n_max}")
-    for perm in permutations(range(n)):
-        if all(mat[i][j] == 0
-               for i in range(n) for j in range(n)
-               if i != j and perm[i] >= perm[j]):
-            return True, perm
-    return False, None
-
-
-def bq_structure_check(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER) -> bool:
-    """End-to-end check of the two presentation axioms through the ring engine.
-
-    Each generator must satisfy its quadratic relation (structural, but
-    replayed against the engine) and the product of all generators must
-    be nonzero.
-    """
-    ring = BottRing(matrix, mode)
-    for k in range(matrix.n):
-        xk = ring.generator(k)
-        if not (xk * xk - ring.twist_form(k) * xk).is_zero():
-            return False
-    return ring.top_class_nonzero()
-
-
-def cycle_matrix(hs) -> list[list[int]]:
-    """Unit-diagonal matrix whose off-diagonal support is one k-cycle.
-
-    Entry (i, i+1) holds hs[i], wrapping around at the end; its
-    determinant is 1 + (-1)^(k+1) * product(hs).
-    """
-    k = len(hs)
-    rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    for i, h in enumerate(hs):
-        rows[i][(i + 1) % k] = int(h)
     return rows

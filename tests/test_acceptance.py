@@ -17,7 +17,6 @@ from bott_rigidity import (
     BottRing,
     CoeffMode,
     admissible_permutations,
-    bott_by_exhaustive_permutations,
     complexity_oracle,
     conjugate,
     diffeo_equivalent,
@@ -25,14 +24,15 @@ from bott_rigidity import (
     inverse_pair_coefficient_condition,
     is_admissible,
     is_bott,
+    line_square_pairs,
     pontrjagin_invariant,
     ring_isomorphic,
-    square_zero_row_constraints,
     to_bott_matrix,
     twist_number,
     validate_characteristic,
     whitney_sum_trivial,
 )
+from bott_rigidity.checks import bott_by_exhaustive_permutations
 from bott_rigidity.cli import main
 from bott_rigidity.linalg import det_fraction
 from bott_rigidity.quasitoric import normalize_characteristic, principal_minor
@@ -102,7 +102,7 @@ def test_c02_even_top_stage_collapse_with_witness():
             assert (elems[k] * elems[k] - u * elems[k]).is_zero()
         for j in range(3):
             if target.is_zero_column(j):
-                assert square_zero_row_constraints(host, rows[j])
+                assert not line_square_pairs(host, rows[j])
         assert time.monotonic() - start < 10.0
 
 

@@ -78,6 +78,11 @@ class TestTwist:
         assert exc.value.code == 2
         capsys.readouterr()
         assert run(capsys, ["twist", path, "--bound", "-1"])[0] == 2
+        # the oracle needs a box of radius at least 1; 0 used to run as 1
+        rc, out, err = run(capsys, ["twist", path, "--bound", "0"])
+        assert rc == 2 and out == "" and "--bound" in err
+        # classify's box may be a single point
+        assert run(capsys, ["classify", "--n", "2", "--bound", "0"])[0] == 0
 
     def test_text_format(self, tmp_path, capsys):
         path = write_json(tmp_path, "m.json", [[0, 2], [0, 0]])

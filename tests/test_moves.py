@@ -5,6 +5,7 @@ structural contracts (admissibility, exact column decrement, parity).
 """
 
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -24,11 +25,7 @@ from bott_rigidity import (
     trivialize_stage,
     twist_number,
 )
-
-
-def rand_bott(rng, n, bound=2):
-    return BottMatrix([[rng.randint(-bound, bound) if j > i else 0
-                        for j in range(n)] for i in range(n)])
+from bott_rigidity.checks import rand_bott
 
 
 class TestConjugate:
@@ -148,6 +145,13 @@ class TestRetwist:
         assert retwist([2, 0], [1, 0]) == [0, 0]
         with pytest.raises(ValueError):
             retwist([1, 1], [1])
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), True, "1"])
+    def test_non_integer_entries_rejected(self, bad):
+        with pytest.raises(TypeError, match="not an integer"):
+            retwist([bad, 1], [0, 0])
+        with pytest.raises(TypeError, match="not an integer"):
+            retwist([1, 1], [bad, 0])
 
     def test_preserves_parity_and_square(self):
         rng = random.Random(17)

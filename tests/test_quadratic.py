@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from bott_rigidity import BottMatrix, BottRing, CoeffMode
+from bott_rigidity.checks import rand_bott
 from bott_rigidity.quadratic import (
     RowSolutions,
     divisors,
@@ -22,11 +23,6 @@ from bott_rigidity.quadratic import (
     square_zero_lines,
     twisted_row_solutions,
 )
-
-
-def rand_bott(rng, n, bound=2):
-    return BottMatrix([[rng.randint(-bound, bound) if j > i else 0
-                        for j in range(n)] for i in range(n)])
 
 
 def pairs_via_engine(matrix, z, w):

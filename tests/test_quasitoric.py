@@ -5,16 +5,14 @@ and every roundtrip lands on an admissible conjugate of the source tower.
 """
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from bott_rigidity import (
     BottMatrix,
-    bott_by_exhaustive_permutations,
-    bq_structure_check,
     conjugate,
-    cycle_matrix,
     from_bott_matrix,
     is_admissible,
     is_bott,
@@ -22,16 +20,17 @@ from bott_rigidity import (
     to_bott_matrix,
     validate_characteristic,
 )
+from bott_rigidity.checks import (
+    bott_by_exhaustive_permutations,
+    bq_structure_check,
+    cycle_matrix,
+    rand_bott,
+)
 from bott_rigidity.linalg import det_int
 
 IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 CYCLE_2 = [[1, 1], [2, 1]]
 CYCLE_3 = [[1, 1, 0], [0, 1, 1], [-2, 0, 1]]
-
-
-def rand_bott(rng, n, bound=3):
-    return BottMatrix([[rng.randint(-bound, bound) if j > i else 0
-                        for j in range(n)] for i in range(n)])
 
 
 def scramble(rng, rows):
@@ -52,6 +51,16 @@ class TestNormalize:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             normalize_characteristic([[1, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), True, "1"])
+    def test_non_integer_entries_rejected(self, bad):
+        # 1.7 used to truncate to 1, so [[1, 1.7], [0, 1]] was accepted as a tower
+        rows = [[1, bad], [0, 1]]
+        for fn in (normalize_characteristic, validate_characteristic, is_bott):
+            with pytest.raises(TypeError, match="not an integer"):
+                fn(rows)
+        with pytest.raises(TypeError, match="not an integer"):
+            to_bott_matrix(rows, (0, 1))
 
 
 class TestValidate:
@@ -96,7 +105,7 @@ class TestIsBott:
         mats = []
         for _ in range(40):
             n = rng.randint(2, 5)
-            mats.append(scramble(rng, from_bott_matrix(rand_bott(rng, n))))
+            mats.append(scramble(rng, from_bott_matrix(rand_bott(rng, n, bound=3))))
         sizes = [2, 3, 4, 5]
         for k in sizes:
             hs = [rng.choice((-3, -2, 2, 3))] + [1] * (k - 1)
@@ -126,7 +135,7 @@ class TestRoundtrip:
         rng = random.Random(97)
         for _ in range(150):
             n = rng.randint(2, 4)
-            lam = rand_bott(rng, n)
+            lam = rand_bott(rng, n, bound=3)
             scr = scramble(rng, from_bott_matrix(lam))
             assert validate_characteristic(scr)
             ok, sigma = is_bott(scr)
@@ -144,7 +153,7 @@ class TestBqStructure:
     def test_axioms_hold_on_random_towers(self):
         rng = random.Random(101)
         for _ in range(50):
-            mat = rand_bott(rng, rng.randint(1, 5))
+            mat = rand_bott(rng, rng.randint(1, 5), bound=3)
             assert bq_structure_check(mat)
 
     def test_all_coefficient_modes(self):

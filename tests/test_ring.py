@@ -5,7 +5,6 @@ confluence oracle re-derives reductions in randomized rewrite order.
 """
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,38 +14,14 @@ from bott_rigidity import (
     BottMatrix,
     BottRing,
     CoeffMode,
-    LineClass,
     inverse_pair_coefficient_condition,
     pontrjagin_one_twist,
     total_chern_sum,
     whitney_sum_trivial,
 )
+from bott_rigidity.checks import rand_bott, random_order_reduction
 
 HIRZEBRUCH = BottMatrix([[0, 1], [0, 0]])
-
-
-def random_order_reduction(matrix, word, rng):
-    """Independent oracle: rewrite x_j^2 -> f_j x_j at a random repeated index."""
-    total = Counter()
-    work = [(Counter(word), Fraction(1))]
-    while work:
-        exps, coeff = work.pop()
-        exps = +exps
-        reps = sorted(i for i, e in exps.items() if e >= 2)
-        if not reps:
-            total[frozenset(exps)] += coeff
-            continue
-        j = rng.choice(reps)
-        base = exps.copy()
-        base[j] -= 2
-        for i in range(j):
-            c = matrix.entry(i, j)
-            if c:
-                nxt = base.copy()
-                nxt[i] += 1
-                nxt[j] += 1
-                work.append((nxt, coeff * c))
-    return {k: v for k, v in total.items() if v}
 
 
 class TestBottMatrix:
@@ -64,6 +39,8 @@ class TestBottMatrix:
             BottMatrix([[0, bad], [0, 0]])
         with pytest.raises(TypeError, match="not an integer"):
             BottMatrix.from_last_column([bad, 2])
+        with pytest.raises(TypeError, match="not an integer"):
+            inverse_pair_coefficient_condition(HIRZEBRUCH, [bad, 0])
 
     def test_helpers(self):
         m = BottMatrix([[0, 0, 2], [0, 0, 3], [0, 0, 0]])
@@ -101,8 +78,7 @@ class TestReduction:
         rng = random.Random(7)
         for _ in range(150):
             n = rng.randint(2, 5)
-            mat = BottMatrix([[rng.randint(-2, 2) if j > i else 0
-                               for j in range(n)] for i in range(n)])
+            mat = rand_bott(rng, n)
             ring = BottRing(mat)
             word = [rng.randrange(n) for _ in range(rng.randint(2, 6))]
             want = {k: Fraction(v)
@@ -272,9 +248,3 @@ class TestLineBundles:
         p = pontrjagin_one_twist([1, 1, 1])
         assert p.to_triples() == [([], 1, 1), ([0, 1], 2, 1), ([0, 2], 2, 1),
                                   ([1, 2], 2, 1)]
-
-    def test_line_class_wrapper(self):
-        ring = BottRing(HIRZEBRUCH)
-        lc = LineClass([1, -2])
-        assert lc.to_element(ring) == ring.line_element([1, -2])
-        assert len(lc) == 2
