@@ -78,7 +78,7 @@ class TestTwist:
         assert exc.value.code == 2
         capsys.readouterr()
         assert run(capsys, ["twist", path, "--bound", "-1"])[0] == 2
-        # the oracle needs a box of radius at least 1; 0 used to run as 1
+        # the oracle's coefficient box needs radius at least 1
         rc, out, err = run(capsys, ["twist", path, "--bound", "0"])
         assert rc == 2 and out == "" and "--bound" in err
         # classify's box may be a single point

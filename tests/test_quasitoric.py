@@ -54,7 +54,6 @@ class TestNormalize:
 
     @pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), True, "1"])
     def test_non_integer_entries_rejected(self, bad):
-        # 1.7 used to truncate to 1, so [[1, 1.7], [0, 1]] was accepted as a tower
         rows = [[1, bad], [0, 1]]
         for fn in (normalize_characteristic, validate_characteristic, is_bott):
             with pytest.raises(TypeError, match="not an integer"):
