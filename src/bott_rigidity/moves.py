@@ -15,6 +15,8 @@ from math import lcm
 
 from .core import BottMatrix, BottRing, CoeffMode, integer_entries
 
+PERMUTATION_N_MAX = 8
+
 
 def conjugate(matrix: BottMatrix, perm) -> BottMatrix:
     """Reorder stages: old stage i becomes stage perm[i].
@@ -51,17 +53,17 @@ def is_admissible(matrix: BottMatrix, perm) -> bool:
     )
 
 
-def admissible_permutations(matrix: BottMatrix, max_n: int = 8):
+def admissible_permutations(matrix: BottMatrix):
     """Yield every admissible stage permutation of the matrix.
 
     These are exactly the linear extensions of the dependency order, so
-    the count can reach n!; matrices larger than max_n are refused.
+    the count can reach n!; matrices larger than PERMUTATION_N_MAX are refused.
     Output order is deterministic: lexicographic in the sequence of old
     stages listed by new position.
     """
     n = matrix.n
-    if n > max_n:
-        raise ValueError(f"refusing to enumerate permutations for n={n} > {max_n}")
+    if n > PERMUTATION_N_MAX:
+        raise ValueError(f"refusing to enumerate permutations for n={n} > {PERMUTATION_N_MAX}")
     preds = [[i for i in range(j) if matrix.entry(i, j) != 0] for j in range(n)]
     placed = [False] * n
     order: list[int] = []

@@ -21,6 +21,8 @@ from math import gcd, isqrt
 from .core import BottMatrix, CoeffMode
 from .linalg import primitive_part
 
+RATIONAL_PROBE = 4
+
 
 def line_product_pairs(matrix: BottMatrix, z, w) -> dict:
     """Coefficients of (sum z_i x_i)(sum w_i x_i) on the pairs x_i x_j, i < j."""
@@ -156,7 +158,7 @@ class RowSolutions:
 
 
 def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
-                          lines=None, probe: int = 4) -> RowSolutions:
+                          lines=None) -> RowSolutions:
     """Solve w^2 = u*w exactly for a known degree-2 class u.
 
     Substituting v = 2w - u turns the equation into v^2 = u^2. When
@@ -202,7 +204,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
         sim = [s.get((i, m), 0) for i in range(m)]
         if any(sim):
             if mode.is_field:
-                vals, probed = _case_pinned_rational(matrix, s, m, col, sim, probe)
+                vals, probed = _case_pinned_rational(matrix, s, m, col, sim)
                 exhaustive = exhaustive and not probed
                 for v in vals:
                     push_v(v)
@@ -253,13 +255,13 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
     return RowSolutions(finite, families, exhaustive)
 
 
-def _case_pinned_rational(matrix, s, m, col, sim, probe):
+def _case_pinned_rational(matrix, s, m, col, sim):
     """Rational-mode solutions with top index m when some s[(i,m)] != 0.
 
     v_i = (s_im - c_im v_m^2) / (2 v_m) for i < m; each remaining pair
     equation clears to a polynomial in v_m of degree at most 4. A
     nontrivial polynomial has finitely many rational roots; when every
-    equation degenerates the curve is probed at small parameter values
+    equation degenerates the curve is probed at v_m = +-1..RATIONAL_PROBE
     and the probed flag is raised.
     """
     n = matrix.n
@@ -295,7 +297,7 @@ def _case_pinned_rational(matrix, s, m, col, sim, probe):
     if poly is not None:
         return [build(r) for r in _rational_roots(poly) if r != 0], False
     vals = []
-    for k in range(1, probe + 1):
+    for k in range(1, RATIONAL_PROBE + 1):
         for vm in (Fraction(k), Fraction(-k)):
             vals.append(build(vm))
     return vals, True

@@ -4,9 +4,10 @@ Characteristic matrices over the cube are taken as square integer
 matrices, one row per facet pair, well defined up to row sign. They are
 normalized to a +1 diagonal; a zero diagonal entry cannot be normalized
 and fails validation. A normalized matrix is characteristic when every
-principal minor is +1 or -1, and describes a Bott tower exactly when its
-off-diagonal support is acyclic, in which case reordering stages by any
-topological order and subtracting the identity yields the Bott matrix.
+principal minor is +1 or -1. It describes a Bott tower exactly when its
+off-diagonal support is acyclic: reordered by a topological order it is
+unitriangular, so it is characteristic with every principal minor +1 and
+no minor scan runs, and subtracting the identity yields the Bott matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from itertools import combinations
 
 from .core import BottMatrix, integer_entries
 from .linalg import det_int
+
+MINOR_SCAN_N_MAX = 12
 
 
 def normalize_characteristic(rows):
@@ -37,14 +40,14 @@ def principal_minor(rows, subset) -> int:
     return det_int(sub)
 
 
-def validate_characteristic(rows, n_max: int = 12) -> bool:
+def validate_characteristic(rows) -> bool:
     """All principal minors are +1 or -1 (checked on the normalized matrix)."""
     mat = normalize_characteristic(rows)
     if mat is None:
         return False
     n = len(mat)
-    if n > n_max:
-        raise ValueError(f"refusing principal-minor scan for n={n} > {n_max}")
+    if n > MINOR_SCAN_N_MAX:
+        raise ValueError(f"refusing principal-minor scan for n={n} > {MINOR_SCAN_N_MAX}")
     for k in range(2, n + 1):
         for subset in combinations(range(n), k):
             if principal_minor(mat, subset) not in (1, -1):
@@ -55,42 +58,32 @@ def validate_characteristic(rows, n_max: int = 12) -> bool:
 def is_bott(rows):
     """Decide whether the characteristic matrix comes from a Bott tower.
 
-    Requires validate_characteristic. Builds the digraph with an edge
-    i -> j for each nonzero off-diagonal entry and returns
-    (True, stage permutation) for a topological order, or (False, None)
-    on a cycle. Accepted matrices are additionally checked against the
-    two structural necessities: opposite off-diagonal entries never both
-    nonzero, and every principal minor is exactly +1.
+    Builds the digraph with an edge i -> j for each nonzero off-diagonal
+    entry of the normalized matrix. A topological order makes the matrix
+    unitriangular, which proves it characteristic with every principal
+    minor +1, so (True, stage permutation) is returned without a minor
+    scan. A cycle returns (False, None) once validate_characteristic
+    passes. An invalid characteristic matrix raises ValueError.
     """
-    if not validate_characteristic(rows):
-        raise ValueError("input is not a valid characteristic matrix")
     mat = normalize_characteristic(rows)
+    if mat is None:
+        raise ValueError("input is not a valid characteristic matrix")
     n = len(mat)
-    order = []
-    placed = [False] * n
-    while len(order) < n:
+    sigma = [None] * n
+    for pos in range(n):
         pick = None
         for cand in range(n):
-            if placed[cand]:
-                continue
-            if all(placed[i] or mat[i][cand] == 0 for i in range(n) if i != cand):
+            if sigma[cand] is None and all(sigma[i] is not None or mat[i][cand] == 0
+                                           for i in range(n) if i != cand):
                 pick = cand
                 break
         if pick is None:
+            if not validate_characteristic(rows):
+                raise ValueError("input is not a valid characteristic matrix")
             return False, None
-        placed[pick] = True
-        order.append(pick)
-    sigma = [0] * n
-    for pos, old in enumerate(order):
-        sigma[old] = pos
-    for i in range(n):
-        for j in range(n):
-            if i != j and mat[i][j] * mat[j][i] != 0:
-                raise AssertionError("acyclic support cannot have opposite nonzero entries")
-    for k in range(1, n + 1):
-        for subset in combinations(range(n), k):
-            if principal_minor(mat, subset) != 1:
-                raise AssertionError("accepted matrix has a principal minor != +1")
+        sigma[pick] = pos
+    if any(mat[i][j] and sigma[i] > sigma[j] for i in range(n) for j in range(n)):
+        raise AssertionError("stage order leaves a nonzero entry below the diagonal")
     return True, tuple(sigma)
 
 

@@ -8,7 +8,6 @@ Time budgets are asserted with generous margins over observed runtimes.
 import json
 import random
 import time
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -17,7 +16,6 @@ from bott_rigidity import (
     BottRing,
     CoeffMode,
     admissible_permutations,
-    complexity_oracle,
     conjugate,
     diffeo_equivalent,
     from_bott_matrix,

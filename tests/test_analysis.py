@@ -7,7 +7,6 @@ full ring engine, never the shortcut formulas.
 
 import hashlib
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest

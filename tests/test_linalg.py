@@ -6,7 +6,6 @@ independent cofactor-expansion oracle implemented here.
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from bott_rigidity.linalg import (

@@ -12,7 +12,6 @@ import pytest
 
 from bott_rigidity import (
     BottMatrix,
-    BottRing,
     CoeffMode,
     admissible_permutations,
     conjugate,

@@ -9,8 +9,6 @@ import random
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from bott_rigidity import BottMatrix, BottRing, CoeffMode
 from bott_rigidity.checks import rand_bott
 from bott_rigidity.quadratic import (
@@ -160,7 +158,6 @@ class TestTwistedRowSolutions:
             u = [rng.randint(-2, 2) for _ in range(n)]
             mode = rng.choice(MODES)
             sols = twisted_row_solutions(mat, u, mode)
-            want = {k: Fraction(v) for k, v in line_product_pairs(mat, u, u).items()}
             for w in sols.finite:
                 got = {k: Fraction(v)
                        for k, v in line_square_pairs(mat, list(w)).items()}

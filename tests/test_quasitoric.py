@@ -116,6 +116,28 @@ class TestIsBott:
             slow = bott_by_exhaustive_permutations(mat)[0]
             assert fast == slow
 
+    def test_tall_tower_needs_no_minor_scan(self):
+        # past the n = 12 scan guard a tower is still recognized, because
+        # the stage order alone proves every principal minor +1
+        rng = random.Random(103)
+        n = 13
+        lam = rand_bott(rng, n, bound=3)
+        rho = list(range(n))
+        rng.shuffle(rho)
+        rows = from_bott_matrix(lam)
+        scr = [[rows[rho[i]][rho[j]] for j in range(n)] for i in range(n)]
+        scr = [[-x for x in row] if rng.random() < 0.5 else row for row in scr]
+        ok, sigma = is_bott(scr)
+        assert ok
+        # stage i of scr is stage rho[i] of lam, and lands at sigma[i]
+        pi = [0] * n
+        for i in range(n):
+            pi[rho[i]] = sigma[i]
+        assert is_admissible(lam, pi)
+        assert to_bott_matrix(scr, sigma) == conjugate(lam, pi)
+        with pytest.raises(ValueError, match="principal-minor scan"):
+            validate_characteristic(scr)
+
     def test_factorial_scan_guard(self):
         big = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
         with pytest.raises(ValueError):
