@@ -218,31 +218,44 @@ class TestRecognize:
 
 
 class TestSelftest:
+    # sha256 of the full selftest stdout: check order, seeds and detail
+    # strings; each test owns distinct command lines, so none is run twice
+    PINNED = {
+        (0, "json"): "e1b18b39e625287a7e13a7ef0e4e2a29ea7ec834de9e1a0da480df28cb33917d",
+        (0, "text"): "311b6f6b834c6fa9fd18a22ef3a8bd02184ba5831f64622364ff5302c7d38664",
+        (0, "csv"): "8c06eb637cec62f5aff3ccb5123468c4405c8e50be0eafd7f3b7bbd485c0ed67",
+        (7, "json"): "3c44579327f6348653926f59c5ba76edb752822c865856f014bc3d2668431fbf",
+        (7, "text"): "748575f831b027636af90317555cd8c5b51e08614efa2e082adcb4af3f54f35f",
+        (7, "csv"): "3b8cf5f2cc5343863c2cb9b914e907eda06570c854010b4c0d74fd25aa32fd3d",
+    }
+
+    def run_pinned(self, capsys, seed, fmt, argv=None):
+        if argv is None:
+            argv = ["selftest", "--seed", str(seed), "--format", fmt]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[seed, fmt]
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["ok"] is True and payload["seed"] == seed
+            assert payload["passed"] == payload["total"] == 21
+        elif fmt == "text":
+            assert out.count("PASS") == 21
+            assert "21/21 checks passed" in out
+
+    def test_all_checks_pass(self, capsys):
+        # bare `selftest` covers the default seed and format
+        self.run_pinned(capsys, 0, "json", ["selftest"])
+
+    def test_text_format(self, capsys):
+        self.run_pinned(capsys, 0, "text")
+
+    def test_seed_changes_are_still_green(self, capsys):
+        self.run_pinned(capsys, 7, "json")
+
     def test_pinned_stdout_digests(self, capsys):
-        # sha256 of the full stdout: check order, seeds and detail strings;
-        # (0, json) runs as bare `selftest` to cover the default flags
-        pinned = {
-            (0, "json"): "e1b18b39e625287a7e13a7ef0e4e2a29ea7ec834de9e1a0da480df28cb33917d",
-            (0, "text"): "311b6f6b834c6fa9fd18a22ef3a8bd02184ba5831f64622364ff5302c7d38664",
-            (0, "csv"): "8c06eb637cec62f5aff3ccb5123468c4405c8e50be0eafd7f3b7bbd485c0ed67",
-            (7, "json"): "3c44579327f6348653926f59c5ba76edb752822c865856f014bc3d2668431fbf",
-            (7, "text"): "748575f831b027636af90317555cd8c5b51e08614efa2e082adcb4af3f54f35f",
-            (7, "csv"): "3b8cf5f2cc5343863c2cb9b914e907eda06570c854010b4c0d74fd25aa32fd3d",
-        }
-        for (seed, fmt), digest in pinned.items():
-            argv = ["selftest"]
-            if (seed, fmt) != (0, "json"):
-                argv += ["--seed", str(seed), "--format", fmt]
-            rc, out, _ = run(capsys, argv)
-            assert rc == 0
-            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (seed, fmt)
-            if fmt == "json":
-                payload = json.loads(out)
-                assert payload["ok"] is True and payload["seed"] == seed
-                assert payload["passed"] == payload["total"] == 21
-            elif fmt == "text":
-                assert out.count("PASS") == 21
-                assert "21/21 checks passed" in out
+        for seed, fmt in [(0, "csv"), (7, "text"), (7, "csv")]:
+            self.run_pinned(capsys, seed, fmt)
 
 
 class TestFlags:
