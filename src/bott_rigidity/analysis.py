@@ -189,7 +189,7 @@ def _presentation_search(matrix, mode, lines, pool, s):
                     break
             if remaining:
                 continue
-            det = det_fraction([list(r) for r in placed])
+            det = det_fraction(placed)
             if not unit(det):
                 continue
             twist_rows = []
@@ -215,12 +215,11 @@ def _presentation_search(matrix, mode, lines, pool, s):
 def _span_twist_solve(matrix, placed, w, ok, pairs):
     """Coefficients t with w^2 = (sum t_q placed_q) w, or None."""
     sq = line_square_pairs(matrix, w)
-    rows = []
-    for p in pairs:
-        rows.append([Fraction(line_product_pairs(matrix, r, w).get(p, 0)) for r in placed])
-    rhs = [Fraction(sq.get(p, 0)) for p in pairs]
+    rhs = [sq.get(p, 0) for p in pairs]
     if not placed:
         return [] if not any(rhs) else None
+    products = [line_product_pairs(matrix, r, w) for r in placed]
+    rows = [[prod.get(p, 0) for prod in products] for p in pairs]
     return solve_linear(rows, rhs, ok)
 
 
@@ -301,7 +300,7 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix, mode: CoeffMode = CoeffMode.IN
     la, lb = square_zero_lines(a), square_zero_lines(b)
     if len(la) != len(lb):
         return IsoReport(False, None, "square-zero line count differs", True, mode, ())
-    if rank_fraction([list(v) for v in la]) != rank_fraction([list(v) for v in lb]):
+    if rank_fraction(la) != rank_fraction(lb):
         return IsoReport(False, None, "square-zero span rank differs", True, mode, ())
     before, after = _iso_moduli(a, b, mode)
     checked = []
@@ -346,7 +345,7 @@ def _verified_witness(host, target, rows, mode, direction):
             u = u + target.entry(i, k) * elems[i]
         if not (elems[k] * elems[k] - u * elems[k]).is_zero():
             raise AssertionError("witness failed relation replay")
-    det = det_fraction([list(r) for r in rows])
+    det = det_fraction(rows)
     if not mode.is_unit(det):
         raise AssertionError("witness determinant is not a unit")
     return {"direction": direction, "rows": [list(r) for r in rows], "det": det}
@@ -386,15 +385,14 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode, bound:
                 for w in _final_family_rows(rows, fam, mode):
                     if w not in cands:
                         cands.append(w)
-        cands.sort(key=lambda w: (sum(abs(Fraction(x)) for x in w), [Fraction(x) for x in w]))
+        cands.sort(key=lambda w: (sum(map(abs, w)), w))
         return cands
 
     def rec(k):
         if k == n:
-            det = det_fraction([list(r) for r in rows])
-            return mode.is_unit(det)
+            return mode.is_unit(det_fraction(rows))
         for w in candidates(k):
-            if rank_fraction([list(r) for r in rows] + [list(w)]) != k + 1:
+            if rank_fraction(rows + [w]) != k + 1:
                 continue
             rows.append(w)
             if rec(k + 1):
@@ -415,8 +413,8 @@ def _final_family_rows(rows, fam, mode: CoeffMode):
     congruence or a linear equation (CoeffMode.unit_parameters).
     """
     w0, step = fam
-    A = det_fraction([list(r) for r in rows] + [list(w0)])
-    C = det_fraction([list(r) for r in rows] + [list(step)])
+    A = det_fraction(rows + [w0])
+    C = det_fraction(rows + [step])
     out = []
     for t in mode.unit_parameters(A, C):
         w = tuple(a + t * b for a, b in zip(w0, step))

@@ -178,10 +178,13 @@ def cmd_classify(args) -> int:
     if n < 1:
         raise InputError("--n must be at least 1")
     bound = args.bound
-    total = (2 * bound + 1) ** (n - 1)
+    side = 2 * bound + 1
+    # a side of at least 2 passes the guard by the exponent
+    # CLASSIFY_GUARD.bit_length(), so the full power is never formed
+    total = side ** min(n - 1, CLASSIFY_GUARD.bit_length())
     if total > CLASSIFY_GUARD:
         sys.stderr.write(
-            f"refusing to enumerate {total} vectors (guard {CLASSIFY_GUARD})\n")
+            f"refusing to enumerate {side}^{n - 1} vectors (guard {CLASSIFY_GUARD})\n")
         return 3
     corpus = [list(v) for v in product(range(-bound, bound + 1), repeat=n - 1)]
     classes = classify(corpus)

@@ -1,15 +1,37 @@
 """Exact linear algebra on small integer and rational matrices.
 
-Everything here is dimension <= ~15, so clarity beats asymptotics: Bareiss
-for integer determinants, fraction Gaussian elimination for ranks, and a
-diagonalization with recorded transforms for solving A x = b over a chosen
-coefficient ring (Z, Q, or the 2-local integers).
+Everything here is dimension <= ~15, so clarity beats asymptotics. A
+rational matrix is first cleared to an integer one, row by row, in one
+place (_cleared_rows); after that, Bareiss gives determinants and one
+integer diagonalization with recorded transforms gives both ranks and
+solutions of A x = b over a chosen coefficient ring (Z, Q, or the
+2-local integers).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+
+def _cleared_rows(rows) -> tuple[list[list[int]], int]:
+    """Scale each row by the lcm of its denominators: (integer rows, scale).
+
+    scale is the product of the row multipliers, so a determinant of the
+    integer rows is scale times the original one, while ranks and the
+    solution sets of the scaled equations are unchanged. Entries may be
+    ints or Fractions; both carry numerator and denominator, so an int
+    entry is never converted.
+    """
+    out = []
+    scale = 1
+    for row in rows:
+        mult = 1
+        for x in row:
+            mult = mult * x.denominator // gcd(mult, x.denominator)
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+        scale *= mult
+    return out, scale
 
 
 def det_int(rows: list[list[int]]) -> int:
@@ -40,57 +62,18 @@ def det_int(rows: list[list[int]]) -> int:
 
 def det_fraction(rows) -> Fraction:
     """Determinant of a square matrix with int/Fraction entries."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+    ints, scale = _cleared_rows(rows)
+    return Fraction(det_int(ints), scale)
 
 
 def rank_fraction(rows) -> int:
-    """Rank over Q of a matrix with int/Fraction entries."""
-    if not rows:
-        return 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    m, n = len(a), len(a[0])
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = None
-        for i in range(rank, m):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        for i in range(rank + 1, m):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                for j in range(col, n):
-                    a[i][j] -= f * a[rank][j]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over Q of a matrix with int/Fraction entries.
+
+    U and V of the diagonalization are unimodular, so the rank is the
+    number of nonzero diagonal entries.
+    """
+    diag, _, _ = _diagonalize(_cleared_rows(rows)[0])
+    return sum(1 for d in diag if d)
 
 
 def maximal_minors_gcd(rows: list[list[int]]) -> int:
@@ -119,10 +102,11 @@ def maximal_minors_gcd(rows: list[list[int]]) -> int:
 def _diagonalize(mat: list[list[int]]):
     """Integer diagonalization with transforms: returns (diag, U, V).
 
-    U @ mat @ V is diagonal with entries diag (no divisibility chain; enough
-    for solving). U, V are unimodular.
+    mat holds integer rows, as _cleared_rows leaves them. U @ mat @ V is
+    diagonal with entries diag (no divisibility chain; enough for solving
+    and for the rank, the count of nonzero entries). U, V are unimodular.
     """
-    a = [list(map(int, r)) for r in mat]
+    a = [list(r) for r in mat]
     m = len(a)
     n = len(a[0]) if m else 0
     u = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -185,25 +169,19 @@ def _diagonalize(mat: list[list[int]]):
 def solve_linear(a_rows, b, value_ok) -> list[Fraction] | None:
     """Solve A x = b with x constrained so every value_ok(x_i) holds.
 
-    Entries of A, b may be ints or Fractions. value_ok is the membership
-    test of the coefficient ring (always-true for Q, integrality for Z,
-    odd denominator for the 2-local integers). Returns one solution or None.
+    Entries of A, b may be ints or Fractions; each equation is cleared to
+    integers, which keeps its solutions over any domain, and solved through
+    the integer diagonalization. value_ok is the membership test of the
+    coefficient ring (always-true for Q, integrality for Z, odd denominator
+    for the 2-local integers). Returns one solution or None.
     """
     m = len(a_rows)
-    t = len(a_rows[0]) if m else 0
     if m == 0:
         return []
-    # scale each equation to integers; safe over any domain
-    a_int: list[list[int]] = []
-    b_int: list[int] = []
-    for row, rhs in zip(a_rows, b):
-        row = [Fraction(x) for x in row]
-        rhs = Fraction(rhs)
-        mult = 1
-        for x in list(row) + [rhs]:
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-        a_int.append([int(x * mult) for x in row])
-        b_int.append(int(rhs * mult))
+    t = len(a_rows[0])
+    cleared, _ = _cleared_rows([[*row, rhs] for row, rhs in zip(a_rows, b)])
+    a_int = [r[:t] for r in cleared]
+    b_int = [r[t] for r in cleared]
     if t == 0:
         return [] if all(x == 0 for x in b_int) else None
     diag, u, v = _diagonalize(a_int)
@@ -219,7 +197,7 @@ def solve_linear(a_rows, b, value_ok) -> list[Fraction] | None:
             if not value_ok(yi):
                 return None
             y[i] = yi
-    x = [sum(Fraction(v[i][j]) * y[j] for j in range(t)) for i in range(t)]
+    x = [sum(v[i][j] * y[j] for j in range(t)) for i in range(t)]
     if not all(value_ok(xi) for xi in x):
         return None
     return x

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .core import BottMatrix, CoeffMode
-from .linalg import primitive_part
+from .linalg import _cleared_rows, primitive_part
 
 RATIONAL_PROBE = 4
 
@@ -50,25 +50,28 @@ def line_square_pairs(matrix: BottMatrix, z) -> dict:
     return out
 
 
+def _pinned_line(matrix: BottMatrix, m: int) -> tuple:
+    """The direction with top index m pinned by 2 z_i z_m = -c[i][m] z_m^2.
+
+    z_m = 1 when column m is even and 2 otherwise, so every other
+    coordinate is an integer.
+    """
+    col = matrix.column(m)
+    vm = 1 if all(c % 2 == 0 for c in col) else 2
+    return tuple(-(c * vm) // 2 for c in col) + (vm,) + (0,) * (matrix.n - m - 1)
+
+
 def square_zero_lines(matrix: BottMatrix) -> list[tuple[int, ...]]:
     """Primitive directions of the square-zero lines in degree 2.
 
     A nonzero z with z^2 = 0 and top support index m must satisfy
     2 z_i z_m = -c[i][m] z_m^2 for each i < m, so the whole line is pinned
-    by m: take z_m = 1 when column m is even and 2 otherwise, read off the
-    other coordinates, and keep the direction when its square really
+    by m (_pinned_line), and the direction is kept when its square really
     vanishes. Hence there is at most one line per index and at most n in
     total, the same set in integral, rational and 2-local coefficients.
     """
-    n = matrix.n
-    out = []
-    for m in range(n):
-        col = matrix.column(m)
-        vm = 1 if all(c % 2 == 0 for c in col) else 2
-        v = tuple(-(c * vm) // 2 for c in col) + (vm,) + (0,) * (n - m - 1)
-        if not line_square_pairs(matrix, v):
-            out.append(v)
-    return out
+    lines = (_pinned_line(matrix, m) for m in range(matrix.n))
+    return [v for v in lines if not line_square_pairs(matrix, v)]
 
 
 def perfect_square_root(q: Fraction):
@@ -95,12 +98,9 @@ def divisors(x: int) -> list[int]:
     return sorted(out)
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """Nonzero rational roots of a polynomial given by ascending coefficients."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+def _rational_roots(coeffs) -> list[Fraction]:
+    """Nonzero rational roots of a polynomial given by ascending int/Fraction coefficients."""
+    (ints,), _ = _cleared_rows([coeffs])
     while ints and ints[-1] == 0:
         ints.pop()
     lead_zeros = 0
@@ -209,28 +209,21 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
                 for v in vals:
                     push_v(v)
             else:
-                g = 0
-                for x in sim:
-                    f = Fraction(x)
-                    if f.denominator != 1:
-                        raise AssertionError("integer mode produced a fractional square")
-                    g = gcd(g, f.numerator)
-                for d in divisors(g):
+                if any(x.denominator != 1 for x in sim):
+                    raise AssertionError("integer mode produced a fractional square")
+                sim = [x.numerator for x in sim]
+                for d in divisors(gcd(*sim)):
                     for vm in (d, -d):
-                        v = [Fraction(0)] * n
-                        v[m] = Fraction(vm)
-                        bad = False
+                        v = [0] * n
+                        v[m] = vm
                         for i in range(m):
-                            num = Fraction(sim[i] - col[i] * vm * vm, 2 * vm)
-                            if num.denominator != 1:
-                                bad = True
+                            v[i], rem = divmod(sim[i] - col[i] * vm * vm, 2 * vm)
+                            if rem:
                                 break
-                            v[i] = num
-                        if not bad:
+                        else:
                             push_v(tuple(v))
         else:
-            vm_unit = 1 if all(c % 2 == 0 for c in col) else 2
-            delta = tuple(-(c * vm_unit) // 2 for c in col) + (vm_unit,) + (0,) * (n - m - 1)
+            delta = _pinned_line(matrix, m)
             d2 = line_square_pairs(matrix, delta)
             ratio = None
             ok = True
@@ -241,7 +234,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
                         ok = False
                         break
                     continue
-                r = Fraction(b_) / Fraction(a_)
+                r = Fraction(b_, a_)
                 if ratio is None:
                     ratio = r
                 elif ratio != r:
@@ -265,30 +258,28 @@ def _case_pinned_rational(matrix, s, m, col, sim):
     and the probed flag is raised.
     """
     n = matrix.n
-    a = [Fraction(x) for x in sim]
-    bcol = [Fraction(c) for c in col]
 
     def build(vm):
         v = [Fraction(0)] * n
         v[m] = vm
         for i in range(m):
-            v[i] = (a[i] - bcol[i] * vm * vm) / (2 * vm)
+            v[i] = (sim[i] - col[i] * vm * vm) / (2 * vm)
         return tuple(v)
 
     poly = None
     for j in range(m):
         for i in range(j):
-            cij = Fraction(matrix.entry(i, j))
-            sij = Fraction(s.get((i, j), 0))
+            cij = matrix.entry(i, j)
+            sij = s.get((i, j), 0)
             # (2 v_m)^2 * (2 v_i v_j + c_ij v_j^2 - s_ij), with
-            # 2 v_m v_k = a_k - b_k v_m^2: a degree-4 polynomial in v_m.
-            pi = (a[i], -bcol[i])
-            pj = (a[j], -bcol[j])
+            # 2 v_m v_k = s_km - c_km v_m^2: a degree-4 polynomial in v_m.
+            pi = (sim[i], -col[i])
+            pj = (sim[j], -col[j])
             # 2*(pi)(pj) + c*(pj)^2 - 4 s v^2, coefficients in v_m^2
             q0 = 2 * pi[0] * pj[0] + cij * pj[0] * pj[0]
             q1 = 2 * (pi[0] * pj[1] + pi[1] * pj[0]) + 2 * cij * pj[0] * pj[1] - 4 * sij
             q2 = 2 * pi[1] * pj[1] + cij * pj[1] * pj[1]
-            cand = [q0, Fraction(0), q1, Fraction(0), q2]
+            cand = [q0, 0, q1, 0, q2]
             if any(cand):
                 poly = cand
                 break

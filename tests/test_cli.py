@@ -147,9 +147,13 @@ class TestClassify:
         assert lines[2] == "1,[-1],4,[]"
 
     def test_enumeration_guard(self, capsys):
-        rc, _, err = run(capsys, ["classify", "--n", "9", "--bound", "2"])
-        assert rc == 3
-        assert str(CLASSIFY_GUARD) in err
+        # 5^6999 has more digits than int->str allows, so the guard must
+        # decide without forming the full count
+        for n in ("9", "7000"):
+            rc, out, err = run(capsys, ["classify", "--n", n, "--bound", "2"])
+            assert rc == 3
+            assert out == ""
+            assert str(CLASSIFY_GUARD) in err
 
     def test_pinned_height_six_digest(self, capsys):
         rc, out, _ = run(capsys, ["classify", "--n", "6", "--bound", "2"])

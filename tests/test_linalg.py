@@ -5,6 +5,7 @@ independent cofactor-expansion oracle implemented here.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -33,13 +34,35 @@ def cofactor_det(rows):
     return total
 
 
+def minor_rank(rows):
+    # independent oracle: the largest k with a nonzero k x k minor
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                if cofactor_det([[rows[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
 small_int = st.integers(min_value=-6, max_value=6)
+# ints mixed with Fractions whose denominators need clearing
+small_rational = st.one_of(small_int, st.builds(Fraction, small_int, st.integers(1, 4)))
 
 
 @st.composite
-def square_matrix(draw, max_n=5):
+def square_matrix(draw, max_n=5, entries=small_int):
     n = draw(st.integers(min_value=1, max_value=max_n))
-    return [[draw(small_int) for _ in range(n)] for _ in range(n)]
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def rect_matrix(draw, entries):
+    # an m x k times k x n product, so that rank deficiency is common
+    m, k, n = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    left = [[draw(entries) for _ in range(k)] for _ in range(m)]
+    right = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
 
 
 class TestDeterminant:
@@ -50,11 +73,12 @@ class TestDeterminant:
         assert det_int([[5]]) == 5
         assert det_int([]) == 1
 
-    @given(square_matrix())
+    @given(st.one_of(square_matrix(), square_matrix(entries=small_rational)))
     @settings(max_examples=120, deadline=None)
     def test_matches_cofactor_expansion(self, rows):
         expect = cofactor_det(rows)
-        assert det_int(rows) == expect
+        if all(isinstance(x, int) for r in rows for x in r):
+            assert det_int(rows) == expect
         assert det_fraction(rows) == expect
 
     def test_big_entries_stay_exact(self):
@@ -74,10 +98,13 @@ class TestRank:
         assert rank_fraction([[1, 2], [2, 4]]) == 1
         assert rank_fraction([[1, 2, 3]]) == 1
 
-    @given(square_matrix())
+    @given(st.one_of(square_matrix(), rect_matrix(small_int), rect_matrix(small_rational)))
     @settings(max_examples=80, deadline=None)
     def test_full_rank_iff_nonzero_det(self, rows):
-        assert (rank_fraction(rows) == len(rows)) == (det_int(rows) != 0)
+        rank = rank_fraction(rows)
+        assert rank == minor_rank(rows)
+        if len(rows) == len(rows[0]):
+            assert (rank == len(rows)) == (cofactor_det(rows) != 0)
 
 
 class TestMaximalMinorsGcd:
@@ -138,6 +165,12 @@ class TestSolveLinear:
         a = [[data.draw(small_int) for _ in range(t)] for _ in range(m)]
         planted = [data.draw(small_int) for _ in range(t)]
         b = [sum(r[j] * planted[j] for j in range(t)) for r in a]
+        if data.draw(st.booleans()):
+            # the same system, each equation scaled by a nonzero rational
+            for i in range(m):
+                f = Fraction(data.draw(small_int.filter(bool)), data.draw(st.integers(1, 4)))
+                a[i] = [f * c for c in a[i]]
+                b[i] *= f
         x = solve_linear(a, b, _ok_int)
         assert x is not None, "an integer solution exists but was not found"
         for r, rhs in zip(a, b):
