@@ -22,6 +22,14 @@ def write_json(tmp_path, name, obj):
     return str(path)
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+HEIGHT_5_TOWER = [[1, 0, 2, 0, 0], [0, 1, 0, 0, 0], [0, -1, 1, 0, 0],
+                  [1, 0, 0, -1, 0], [2, 1, 0, 1, 1]]
+
+
 class TestTwist:
     def test_even_hirzebruch(self, tmp_path, capsys):
         path = write_json(tmp_path, "m.json", [[0, 2], [0, 0]])
@@ -94,6 +102,32 @@ class TestTwist:
         assert lines == sorted(lines)
         assert any(line.startswith("twist: 0") for line in lines)
 
+    # sha256 of stdout; csv without a table is the key/value path
+    PINNED = {
+        ("z", "json"): "7d388defe99607fd2fb832aa00deaa78a6f19ef58e5a2e541f284e1a01266c7b",
+        ("z", "csv"): "b2db815862569340056b9066f431daf095a592765bf247f610dafb487c084601",
+        ("z", "text"): "20cbc5f36549a46d907bf7b646f3dd51a23dd3a76b97fb4ee0d81e1d8b113e0f",
+        ("q", "json"): "ccab13e0ecb2e879168fb395316287d24cd49acab728712158514ae74040f49e",
+        ("q", "csv"): "d91623d899bcceb396e7f780de2a89deb2635226967cda443aadac8c6a2a1ad9",
+        ("q", "text"): "aec5f3b117ee352afaff466e87eba2db443b19f4a6310d8629872b11a77aa227",
+        ("z2local", "json"): "7d388defe99607fd2fb832aa00deaa78a6f19ef58e5a2e541f284e1a01266c7b",
+        ("z2local", "csv"): "b2db815862569340056b9066f431daf095a592765bf247f610dafb487c084601",
+        ("z2local", "text"): "20cbc5f36549a46d907bf7b646f3dd51a23dd3a76b97fb4ee0d81e1d8b113e0f",
+    }
+
+    def test_pinned_format_digests(self, tmp_path, capsys):
+        path = write_json(tmp_path, "m.json", [[0, 1, 1], [0, 0, -2], [0, 0, 0]])
+        for (ring, fmt), want in self.PINNED.items():
+            rc, out, err = run(capsys, ["twist", path, "--ring", ring, "--format", fmt])
+            assert (rc, err, sha256(out)) == (0, "", want), (ring, fmt)
+        # a tower above the certification height has a null oracle
+        path = write_json(tmp_path, "z.json", [[0] * 5 for _ in range(5)])
+        rc, out, err = run(capsys, ["twist", path, "--format", "csv"])
+        assert (rc, err) == (0, "")
+        assert "oracle,null\n" in out
+        assert sha256(out) == (
+            "8f566ff9e7d3aaf4c369638015900241937de1adc88924740ee68f23c7b130cf")
+
 
 class TestEquiv:
     def test_equivalent_pair(self, tmp_path, capsys):
@@ -123,6 +157,23 @@ class TestEquiv:
         a = write_json(tmp_path, "a.json", [1, "x"])
         b = write_json(tmp_path, "b.json", [1, 0])
         assert run(capsys, ["equiv", a, b])[0] == 2
+
+    def test_pinned_format_digests(self, tmp_path, capsys):
+        pinned = [
+            ([1, 0], [3, 0], "csv", 0,
+             "f5a8926e4b8b3b51276e26fbb46e600e446e02251e0c2855b61af73a5c6fc455"),
+            ([1, 0], [3, 0], "text", 0,
+             "bd460f27156bd85ce200b3274864a4ee4b0b42f9d3ba6b33e3ca994306652d1b"),
+            ([1, 1], [1, 3], "csv", 1,
+             "4e609f34d76775a01faf2ad7dae25086529d147fefc3d2d9f844c61dff652977"),
+            ([1, 1], [1, 3], "text", 1,
+             "70f4622ec82a83862e7a0c6f3617f0652843e37d8125bbfaca798e1e1b73609e"),
+        ]
+        for alpha, beta, fmt, code, want in pinned:
+            a = write_json(tmp_path, "a.json", alpha)
+            b = write_json(tmp_path, "b.json", beta)
+            rc, out, err = run(capsys, ["equiv", a, b, "--format", fmt])
+            assert (rc, err, sha256(out)) == (code, "", want), (alpha, beta, fmt)
 
 
 class TestClassify:
@@ -219,6 +270,22 @@ class TestRecognize:
         rc, out, _ = run(capsys, ["recognize", path])
         assert rc == 0 and json.loads(out)["bott"] is True
         assert len(calls) == 26
+
+    def test_pinned_format_digests(self, tmp_path, capsys):
+        pinned = [
+            (HEIGHT_5_TOWER, "csv", 0,
+             "dba59775217e82a5166a846b7c01803b11fb64b0f3b0b4e52e54b120f3bfa674"),
+            (HEIGHT_5_TOWER, "text", 0,
+             "94db83c706f9c9d2d87e8a4628b7f9a5aafebe39a322316c1e5c85e805209a3a"),
+            ([[1, 1], [2, 1]], "csv", 1,
+             "aebfb3b9d653b556b849cd788a15bd724c1a83e3f2095f9c61473eadbbf9753c"),
+            ([[1, 1], [2, 1]], "text", 1,
+             "f25c4b1b3c7dabb11285ea184f789e96b0a8d393cb31c138b128b45c61415326"),
+        ]
+        for rows, fmt, code, want in pinned:
+            path = write_json(tmp_path, "c.json", rows)
+            rc, out, err = run(capsys, ["recognize", path, "--format", fmt])
+            assert (rc, err, sha256(out)) == (code, "", want), (rows, fmt)
 
 
 class TestSelftest:
