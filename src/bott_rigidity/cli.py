@@ -22,7 +22,6 @@ import io
 import json
 import random
 import sys
-from fractions import Fraction
 from itertools import product
 
 from .analysis import twist_number
@@ -81,31 +80,15 @@ def _load_vector(path: str) -> list[int]:
     return _int_list(_load_json_file(path), path)
 
 
-def _jsonable(x):
-    if isinstance(x, BottMatrix):
-        return x.to_lists()
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, CoeffMode):
-        return x.value
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    return str(x)
-
-
 def _inline(v) -> str:
-    return json.dumps(_jsonable(v), sort_keys=True, separators=(",", ":"))
+    return json.dumps(v, sort_keys=True, separators=(",", ":"))
 
 
 def _emit(payload: dict, fmt: str, table: tuple[list[str], list[dict]] | None = None):
+    # payloads hold only str-keyed dicts, lists, tuples, ints, bools,
+    # strings and None, which json.dumps writes as they are
     if fmt == "json":
-        sys.stdout.write(json.dumps(_jsonable(payload), sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
         return
     if fmt == "csv":
         buf = io.StringIO()

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .core import BottMatrix, BottRing, CoeffMode, integer_entries
+from .core import BottMatrix, CoeffMode, integer_entries
+from .quadratic import line_product_pairs, line_square_pairs
 
 PERMUTATION_N_MAX = 8
 
@@ -94,7 +95,8 @@ def stage_fibration_trivial(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffM
 
     True for an already zero column, and otherwise exactly when the twist
     form f_m is divisible by 2 in the coefficient ring and squares to zero
-    over the base of stage m.
+    over the base of stage m. The square is taken in closed form
+    (line_square_pairs), with f_m padded by zeros from stage m on.
     """
     mode = CoeffMode(mode)
     col = matrix.column(m)
@@ -102,9 +104,7 @@ def stage_fibration_trivial(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffM
         return True
     if not all(mode.is_even(c) for c in col):
         return False
-    base = BottRing(matrix.prefix(m), mode)
-    f = base.line_element(col)
-    return (f * f).is_zero()
+    return not line_square_pairs(matrix, col + (0,) * (matrix.n - m))
 
 
 def trivialize_stage(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffMode.INTEGER):
@@ -154,16 +154,16 @@ def retwist(alpha, w):
     """Replace a final twist alpha over a product base by alpha - 2w.
 
     Valid exactly when w * (alpha - w) = 0 in the base ring, so that both
-    twists present the same total space. Returns the new twist vector, or
-    None when the move does not apply.
+    twists present the same total space. The product is taken in closed
+    form (line_product_pairs) over the untwisted base.
+    Returns the new twist vector, or None when the move does not apply.
     """
     alpha = integer_entries(alpha, "twist vector")
     w = integer_entries(w, "retwist vector")
     if len(alpha) != len(w):
         raise ValueError("alpha and w must have the same length")
-    base = BottRing(BottMatrix.zeros(len(alpha)))
-    prod = base.line_element(w) * base.line_element([a - x for a, x in zip(alpha, w)])
-    if not prod.is_zero():
+    rest = [a - x for a, x in zip(alpha, w)]
+    if line_product_pairs(BottMatrix.zeros(len(alpha)), w, rest):
         return None
     return [a - 2 * x for a, x in zip(alpha, w)]
 

@@ -223,28 +223,15 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
                         else:
                             push_v(tuple(v))
         else:
+            # v = t * delta with t^2 delta^2 = s: one pair fixes t^2, and
+            # push_v checks the others
             delta = _pinned_line(matrix, m)
-            d2 = line_square_pairs(matrix, delta)
-            ratio = None
-            ok = True
-            for key in set(d2) | set(s):
-                a_, b_ = d2.get(key, 0), s.get(key, 0)
-                if a_ == 0:
-                    if b_ != 0:
-                        ok = False
-                        break
-                    continue
-                r = Fraction(b_, a_)
-                if ratio is None:
-                    ratio = r
-                elif ratio != r:
-                    ok = False
-                    break
-            if ok and ratio is not None and ratio > 0:
-                t = perfect_square_root(ratio)
-                if t is not None and (mode.is_field or t.denominator == 1):
-                    for tt in (t, -t):
-                        push_v(tuple(tt * x for x in delta))
+            key, sk = next(iter(s.items()))
+            dk = line_square_pairs(matrix, delta).get(key)
+            t = perfect_square_root(Fraction(sk, dk)) if dk else None
+            if t is not None and (mode.is_field or t.denominator == 1):
+                for tt in (t, -t):
+                    push_v(tuple(tt * x for x in delta))
     return RowSolutions(finite, families, exhaustive)
 
 

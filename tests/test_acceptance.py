@@ -84,7 +84,7 @@ def test_c02_even_top_stage_collapse_with_witness():
         start = time.monotonic()
         a = BottMatrix([[0, 1, c], [0, 0, -2 * c], [0, 0, 0]])
         b = BottMatrix([[0, 1, c], [0, 0, 0], [0, 0, 0]])
-        rep = ring_isomorphic(a, b, bound=2)
+        rep = ring_isomorphic(a, b)
         assert rep.isomorphic is True
         assert rep.reason == "witness verified"
         rows = rep.witness["rows"]

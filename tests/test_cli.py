@@ -80,6 +80,7 @@ class TestTwist:
         assert run(capsys, ["twist", write_json(tmp_path, "bo.json",
                                                 [[0, True], [0, 0]])])[0] == 2
         assert run(capsys, ["twist", str(tmp_path / "absent.json")])[0] == 2
+        assert run(capsys, ["twist", write_json(tmp_path, "em.json", [])])[0] == 2
 
     def test_bad_flag_values_exit_two(self, tmp_path, capsys):
         path = write_json(tmp_path, "m.json", [[0, 1], [0, 0]])
@@ -93,6 +94,7 @@ class TestTwist:
         assert rc == 2 and out == "" and "--bound" in err
         # classify's box may be a single point
         assert run(capsys, ["classify", "--n", "2", "--bound", "0"])[0] == 0
+        assert run(capsys, ["classify", "--n", "0"])[0] == 2
 
     def test_text_format(self, tmp_path, capsys):
         path = write_json(tmp_path, "m.json", [[0, 2], [0, 0]])
@@ -156,6 +158,8 @@ class TestEquiv:
     def test_non_integer_vector(self, tmp_path, capsys):
         a = write_json(tmp_path, "a.json", [1, "x"])
         b = write_json(tmp_path, "b.json", [1, 0])
+        assert run(capsys, ["equiv", a, b])[0] == 2
+        a = write_json(tmp_path, "o.json", {"alpha": [1, 0]})
         assert run(capsys, ["equiv", a, b])[0] == 2
 
     def test_pinned_format_digests(self, tmp_path, capsys):
@@ -244,6 +248,10 @@ class TestRecognize:
 
     def test_invalid_characteristic(self, tmp_path, capsys):
         path = write_json(tmp_path, "c.json", [[1, 1], [1, 1]])
+        rc, out, _ = run(capsys, ["recognize", path])
+        assert rc == 1
+        assert json.loads(out)["characteristic"] is False
+        path = write_json(tmp_path, "z.json", [[0, 1], [0, 1]])
         rc, out, _ = run(capsys, ["recognize", path])
         assert rc == 1
         assert json.loads(out)["characteristic"] is False

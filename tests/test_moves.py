@@ -12,6 +12,7 @@ import pytest
 
 from bott_rigidity import (
     BottMatrix,
+    BottRing,
     CoeffMode,
     admissible_permutations,
     conjugate,
@@ -87,6 +88,27 @@ class TestTrivializeStage:
         assert not stage_fibration_trivial(bad, 2)
         # zero column counts as trivial
         assert stage_fibration_trivial(BottMatrix.zeros(3), 1)
+
+    def test_predicate_matches_ring_oracle(self):
+        # oracle: every entry even and f * f = 0 in the ring of the base
+        rng = random.Random(17)
+        hits = 0
+        for _ in range(120):
+            n = rng.randint(1, 5)
+            rows = rand_bott(rng, n).to_lists()
+            for j in range(n):
+                if rng.random() < 0.5:
+                    for i in range(j):
+                        rows[i][j] *= 2
+            mat = BottMatrix(rows)
+            for mode in CoeffMode:
+                for m in range(n):
+                    col = mat.column(m)
+                    f = BottRing(mat.prefix(m), mode).line_element(col)
+                    want = all(mode.is_even(c) for c in col) and (f * f).is_zero()
+                    assert stage_fibration_trivial(mat, m, mode) == want, (rows, m, mode)
+                    hits += want and any(col)
+        assert hits >= 100
 
     def test_worked_example_updates_later_columns(self):
         m = BottMatrix([[0, 2, 1], [0, 0, 1], [0, 0, 0]])

@@ -90,6 +90,7 @@ class TestSquareZeroLines:
                 assert ok, (mat.to_lists(), v)
 
     def test_distinct_top_indices(self):
+        # ring_isomorphic relies on this: the lines' count is their span rank
         rng = random.Random(41)
         for _ in range(60):
             mat = rand_bott(rng, rng.randint(2, 5))

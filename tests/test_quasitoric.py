@@ -66,6 +66,8 @@ class TestValidate:
     def test_hand_values(self):
         assert validate_characteristic(IDENTITY_3)
         assert not validate_characteristic([[1, 1], [1, 1]])
+        # a diagonal entry other than +-1 fails before any minor is taken
+        assert not validate_characteristic([[0, 1], [0, 1]])
         assert validate_characteristic(CYCLE_2)
         assert validate_characteristic(CYCLE_3)
 
@@ -98,6 +100,8 @@ class TestIsBott:
     def test_rejects_invalid_characteristic(self):
         with pytest.raises(ValueError):
             is_bott([[1, 1], [1, 1]])
+        with pytest.raises(ValueError):
+            is_bott([[0, 1], [0, 1]])
 
     def test_matches_factorial_oracle(self):
         rng = random.Random(89)
