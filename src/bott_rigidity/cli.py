@@ -279,6 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one build serves every call
+_PARSER = _build_parser()
 HANDLERS = {
     "twist": cmd_twist,
     "equiv": cmd_equiv,
@@ -289,8 +291,7 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if "bound" in args and args.bound < 0:
         sys.stderr.write("--bound must be nonnegative\n")
         return 2

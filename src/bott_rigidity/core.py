@@ -226,9 +226,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, indices):
-        return self.terms.get(frozenset(indices), 0)
-
     def degree_part(self, degree: int) -> "RingElement":
         """Homogeneous piece in H^degree (monomial of size p sits in H^{2p})."""
         if degree % 2:
@@ -334,9 +331,6 @@ class BottRing:
         if not 0 <= i < self.n:
             raise IndexError(f"generator index {i} out of range")
         return RingElement(self, {frozenset([i]): 1})
-
-    def element(self, terms: dict) -> RingElement:
-        return RingElement(self, terms)
 
     def line_element(self, coeffs) -> RingElement:
         """Degree-2 class sum coeffs[i] * x_i."""

@@ -3,15 +3,16 @@
 Everything here is dimension <= ~15, so clarity beats asymptotics. A
 rational matrix is first cleared to an integer one, row by row, in one
 place (_cleared_rows); after that, Bareiss gives determinants and one
-integer diagonalization with recorded transforms gives both ranks and
+integer diagonalization gives ranks, gcds of maximal minors and
 solutions of A x = b over a chosen coefficient ring (Z, Q, or the
-2-local integers).
+2-local integers). It records the column transform only; the right-hand
+side rides along as one more column, so no row transform is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 
 def _cleared_rows(rows) -> tuple[list[list[int]], int]:
@@ -69,8 +70,8 @@ def det_fraction(rows) -> Fraction:
 def rank_fraction(rows) -> int:
     """Rank over Q of a matrix with int/Fraction entries.
 
-    U and V of the diagonalization are unimodular, so the rank is the
-    number of nonzero diagonal entries.
+    The diagonalization acts by unimodular row and column operations, so
+    the rank is the number of nonzero diagonal entries.
     """
     diag, _, _ = _diagonalize(_cleared_rows(rows)[0])
     return sum(1 for d in diag if d)
@@ -81,50 +82,40 @@ def maximal_minors_gcd(rows: list[list[int]]) -> int:
 
     A set of k rows extends to a unimodular n x n matrix exactly when this
     gcd is 1, and to an odd-determinant matrix exactly when it is odd.
+    By Cauchy-Binet, unimodular row and column operations keep the gcd of
+    the maximal minors, and the only maximal minor of the k x n diagonal
+    form that can be nonzero is the product of its diagonal.
     """
-    from itertools import combinations
-
     k = len(rows)
     if k == 0:
         return 1
-    n = len(rows[0])
-    if k > n:
+    if k > len(rows[0]):
         return 0
-    g = 0
-    for cols in combinations(range(n), k):
-        minor = det_int([[row[c] for c in cols] for row in rows])
-        g = gcd(g, minor)
-        if g == 1:
-            return 1
-    return g
+    diag, _, _ = _diagonalize(rows)
+    return abs(prod(diag))
 
 
-def _diagonalize(mat: list[list[int]]):
-    """Integer diagonalization with transforms: returns (diag, U, V).
+def _diagonalize(mat: list[list[int]], t: int | None = None):
+    """Integer diagonalization of the first t columns: returns (diag, a, V).
 
-    mat holds integer rows, as _cleared_rows leaves them. U @ mat @ V is
-    diagonal with entries diag (no divisibility chain; enough for solving
-    and for the rank, the count of nonzero entries). U, V are unimodular.
+    mat holds integer rows, as _cleared_rows leaves them; t defaults to all
+    columns. Unimodular row operations act on whole rows unrecorded, so a
+    later column comes back with them applied; column operations act on
+    the first t columns and on the unimodular V. Those columns of a end
+    diagonal with entries diag (no divisibility chain; enough for solving,
+    the rank and the maximal-minor gcd).
     """
     a = [list(r) for r in mat]
     m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, f):  # row_i -= f * row_j
-        a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - f * y for x, y in zip(u[i], u[j])]
+    if t is None:
+        t = len(a[0]) if m else 0
+    v = [[int(i == j) for j in range(t)] for i in range(t)]
 
     def col_op(i, j, f):  # col_i -= f * col_j
         for r in a:
             r[i] -= f * r[j]
         for r in v:
             r[i] -= f * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -133,16 +124,16 @@ def _diagonalize(mat: list[list[int]]):
             r[i], r[j] = r[j], r[i]
 
     k = 0
-    while k < min(m, n):
+    while k < min(m, t):
         piv = None
         best = None
         for i in range(k, m):
-            for j in range(k, n):
+            for j in range(k, t):
                 if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
                     piv, best = (i, j), abs(a[i][j])
         if piv is None:
             break
-        swap_rows(k, piv[0])
+        a[k], a[piv[0]] = a[piv[0]], a[k]
         swap_cols(k, piv[1])
         dirty = True
         while dirty:
@@ -150,11 +141,11 @@ def _diagonalize(mat: list[list[int]]):
             for i in range(k + 1, m):
                 if a[i][k] != 0:
                     q = a[i][k] // a[k][k]
-                    row_op(i, k, q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
                     if a[i][k] != 0:  # remainder becomes the new, smaller pivot
-                        swap_rows(k, i)
+                        a[k], a[i] = a[i], a[k]
                         dirty = True
-            for j in range(k + 1, n):
+            for j in range(k + 1, t):
                 if a[k][j] != 0:
                     q = a[k][j] // a[k][k]
                     col_op(j, k, q)
@@ -162,38 +153,38 @@ def _diagonalize(mat: list[list[int]]):
                         swap_cols(k, j)
                         dirty = True
         k += 1
-    diag = [a[i][i] for i in range(min(m, n))]
-    return diag, u, v
+    diag = [a[i][i] for i in range(min(m, t))]
+    return diag, a, v
 
 
 def solve_linear(a_rows, b, value_ok) -> list[Fraction] | None:
     """Solve A x = b with x constrained so every value_ok(x_i) holds.
 
     Entries of A, b may be ints or Fractions; each equation is cleared to
-    integers, which keeps its solutions over any domain, and solved through
-    the integer diagonalization. value_ok is the membership test of the
-    coefficient ring (always-true for Q, integrality for Z, odd denominator
-    for the 2-local integers). Returns one solution or None.
+    integers, which keeps its solutions over any domain. The cleared rows
+    [A | b] are diagonalized on the columns of A; b rides along as the
+    last column c, so the system becomes diag * y = c with x = V y.
+    value_ok is the membership test of the coefficient ring (always-true
+    for Q, integrality for Z, odd denominator for the 2-local integers).
+    Returns one solution or None.
     """
     m = len(a_rows)
     if m == 0:
         return []
     t = len(a_rows[0])
     cleared, _ = _cleared_rows([[*row, rhs] for row, rhs in zip(a_rows, b)])
-    a_int = [r[:t] for r in cleared]
-    b_int = [r[t] for r in cleared]
     if t == 0:
-        return [] if all(x == 0 for x in b_int) else None
-    diag, u, v = _diagonalize(a_int)
-    c = [sum(u[i][j] * b_int[j] for j in range(m)) for i in range(m)]
+        return [] if all(r[0] == 0 for r in cleared) else None
+    diag, reduced, v = _diagonalize(cleared, t)
     y = [Fraction(0)] * t
     for i in range(m):
         d = diag[i] if i < len(diag) else 0
+        c = reduced[i][t]
         if d == 0:
-            if c[i] != 0:
+            if c != 0:
                 return None
         else:
-            yi = Fraction(c[i], d)
+            yi = Fraction(c, d)
             if not value_ok(yi):
                 return None
             y[i] = yi

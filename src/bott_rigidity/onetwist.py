@@ -38,8 +38,6 @@ class OneTwistClass:
 @dataclass(frozen=True)
 class EquivalenceWitness:
     sigma: tuple
-    parity_checks: tuple
-    product_checks: tuple
 
 
 def _vec(alpha):
@@ -92,13 +90,7 @@ def diffeo_equivalent(alpha, beta):
 
     if not assign(0):
         return False, None
-    perm = tuple(sigma)
-    parity = tuple((a[perm[i]] - b[i]) % 2 == 0 for i in range(k))
-    products = tuple(
-        abs(a[perm[i]] * a[perm[j]]) == abs(b[i] * b[j])
-        for i in range(k) for j in range(i + 1, k)
-    )
-    return True, EquivalenceWitness(sigma=perm, parity_checks=parity, product_checks=products)
+    return True, EquivalenceWitness(sigma=tuple(sigma))
 
 
 def rational_trivial(alpha) -> bool:

@@ -40,14 +40,42 @@ def principal_minor(rows, subset) -> int:
     return det_int(sub)
 
 
+def _stage_order(mat):
+    """Topological order of the support of a normalized matrix; None on a cycle.
+
+    Edges i -> j are the nonzero off-diagonal entries, and each position
+    takes the first eligible stage. Reordered by it, the matrix is
+    unitriangular.
+    """
+    n = len(mat)
+    sigma = [None] * n
+    for pos in range(n):
+        for cand in range(n):
+            if sigma[cand] is None and all(sigma[i] is not None or mat[i][cand] == 0
+                                           for i in range(n) if i != cand):
+                sigma[cand] = pos
+                break
+        else:
+            return None
+    if any(mat[i][j] and sigma[i] > sigma[j] for i in range(n) for j in range(n)):
+        raise AssertionError("stage order leaves a nonzero entry below the diagonal")
+    return tuple(sigma)
+
+
 def validate_characteristic(rows) -> bool:
-    """All principal minors are +1 or -1 (checked on the normalized matrix)."""
+    """All principal minors are +1 or -1 (checked on the normalized matrix).
+
+    An acyclic support runs no scan: its stage order makes the matrix
+    unitriangular, so every principal minor is +1.
+    """
     mat = normalize_characteristic(rows)
     if mat is None:
         return False
     n = len(mat)
     if n > MINOR_SCAN_N_MAX:
         raise ValueError(f"refusing principal-minor scan for n={n} > {MINOR_SCAN_N_MAX}")
+    if _stage_order(mat) is not None:
+        return True
     for k in range(2, n + 1):
         for subset in combinations(range(n), k):
             if principal_minor(mat, subset) not in (1, -1):
@@ -58,33 +86,21 @@ def validate_characteristic(rows) -> bool:
 def is_bott(rows):
     """Decide whether the characteristic matrix comes from a Bott tower.
 
-    Builds the digraph with an edge i -> j for each nonzero off-diagonal
-    entry of the normalized matrix. A topological order makes the matrix
-    unitriangular, which proves it characteristic with every principal
-    minor +1, so (True, stage permutation) is returned without a minor
-    scan. A cycle returns (False, None) once validate_characteristic
-    passes. An invalid characteristic matrix raises ValueError.
+    A stage order of the normalized matrix makes it unitriangular, which
+    proves it characteristic with every principal minor +1, so (True,
+    stage permutation) is returned without a minor scan. A cycle returns
+    (False, None) once validate_characteristic passes. An invalid
+    characteristic matrix raises ValueError.
     """
     mat = normalize_characteristic(rows)
     if mat is None:
         raise ValueError("input is not a valid characteristic matrix")
-    n = len(mat)
-    sigma = [None] * n
-    for pos in range(n):
-        pick = None
-        for cand in range(n):
-            if sigma[cand] is None and all(sigma[i] is not None or mat[i][cand] == 0
-                                           for i in range(n) if i != cand):
-                pick = cand
-                break
-        if pick is None:
-            if not validate_characteristic(rows):
-                raise ValueError("input is not a valid characteristic matrix")
-            return False, None
-        sigma[pick] = pos
-    if any(mat[i][j] and sigma[i] > sigma[j] for i in range(n) for j in range(n)):
-        raise AssertionError("stage order leaves a nonzero entry below the diagonal")
-    return True, tuple(sigma)
+    sigma = _stage_order(mat)
+    if sigma is not None:
+        return True, sigma
+    if not validate_characteristic(rows):
+        raise ValueError("input is not a valid characteristic matrix")
+    return False, None
 
 
 def to_bott_matrix(rows, sigma) -> BottMatrix:

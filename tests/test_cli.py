@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, payload shapes, byte-stable output."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from bott_rigidity import quasitoric
+from bott_rigidity.checks import cycle_matrix
 from bott_rigidity.cli import CLASSIFY_GUARD, main
 from bott_rigidity.linalg import det_int
 
@@ -263,8 +265,10 @@ class TestRecognize:
         assert rc == 3 and err
 
     def test_one_minor_scan_per_tower(self, tmp_path, capsys, monkeypatch):
-        # validate_characteristic scans the 2^5 - 5 - 1 minors of size >= 2
-        # once; is_bott proves the +1 minors from the stage order alone
+        # the stage order of an acyclic support proves every principal
+        # minor +1, so a tower runs no minor scan; a cyclic input still
+        # scans its 2^5 - 5 - 1 minors of size >= 2 twice, once in
+        # validate_characteristic and once inside is_bott
         calls = []
 
         def counting_det(rows):
@@ -277,7 +281,11 @@ class TestRecognize:
         path = write_json(tmp_path, "c.json", tower)
         rc, out, _ = run(capsys, ["recognize", path])
         assert rc == 0 and json.loads(out)["bott"] is True
-        assert len(calls) == 26
+        assert len(calls) == 0
+        path = write_json(tmp_path, "c.json", cycle_matrix([-2, 1, 1, 1, 1]))
+        rc, out, _ = run(capsys, ["recognize", path])
+        assert rc == 1 and json.loads(out)["characteristic"] is True
+        assert len(calls) == 52
 
     def test_pinned_format_digests(self, tmp_path, capsys):
         pinned = [
@@ -358,3 +366,19 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        # a good command line and then a usage error construct no parser
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, ["classify", "--n", "2", "--bound", "1"])[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--n", "2", "--ring", "q"])
+        assert exc.value.code == 2
+        assert built == []

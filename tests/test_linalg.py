@@ -6,6 +6,7 @@ independent cofactor-expansion oracle implemented here.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -43,6 +44,15 @@ def minor_rank(rows):
                 if cofactor_det([[rows[i][j] for j in cs] for i in rs]):
                     return k
     return 0
+
+
+def minors_gcd(rows):
+    # independent oracle: gcd of every k x k minor, 0 when k > n
+    k, n = len(rows), len(rows[0])
+    g = 0
+    for cols in combinations(range(n), k):
+        g = gcd(g, cofactor_det([[row[c] for c in cols] for row in rows]))
+    return g
 
 
 small_int = st.integers(min_value=-6, max_value=6)
@@ -128,6 +138,11 @@ class TestMaximalMinorsGcd:
             changed = [[x for x in rows[0]]]
         assert maximal_minors_gcd(rows) == maximal_minors_gcd(changed)
 
+    @given(st.one_of(square_matrix(max_n=4), rect_matrix(small_int)))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_minor_enumeration(self, rows):
+        assert maximal_minors_gcd(rows) == minors_gcd(rows)
+
 
 def _ok_int(x):
     return Fraction(x).denominator == 1
@@ -178,6 +193,40 @@ class TestSolveLinear:
         assert all(v.denominator == 1 for v in x)
 
 
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_right_hand_side_outside_the_span(self, m, t, data):
+        # A = P B and b = P (B x0 + last e_m) with P invertible and the last
+        # row of B zero: A x = b has a rational solution exactly when
+        # last = 0, and the right-hand side must follow every row operation
+        # to tell which
+        unit_lower = [[data.draw(small_int) if j < i else int(i == j) for j in range(m)]
+                      for i in range(m)]
+        unit_upper = [[data.draw(small_int) if j > i else int(i == j) for j in range(m)]
+                      for i in range(m)]
+        p = [[sum(unit_lower[i][k] * unit_upper[k][j] for k in range(m)) for j in range(m)]
+             for i in range(m)]
+        bottom = [[data.draw(small_int) for _ in range(t)] for _ in range(m - 1)] + [[0] * t]
+        a = [[sum(p[i][k] * bottom[k][j] for k in range(m)) for j in range(t)]
+             for i in range(m)]
+        scale = [Fraction(data.draw(small_int.filter(bool)), data.draw(st.integers(1, 4)))
+                 if data.draw(st.booleans()) else 1 for _ in range(m)]
+        a = [[f * x for x in row] for f, row in zip(scale, a)]
+        x0 = [data.draw(small_int) for _ in range(t)]
+        c = [sum(e * v for e, v in zip(row, x0)) for row in bottom]
+        for last in (data.draw(small_int.filter(bool)), 0):
+            c[-1] = last
+            b = [f * sum(p[i][k] * ck for k, ck in enumerate(c))
+                 for i, f in enumerate(scale)]
+            outside = minor_rank([row + [rhs] for row, rhs in zip(a, b)]) > minor_rank(a)
+            assert outside == (last != 0)
+            x = solve_linear(a, b, lambda v: True)
+            if outside:
+                assert x is None
+            else:
+                assert [sum(Fraction(e) * v for e, v in zip(row, x)) for row in a] == b
+
+
 class TestPrimitivePart:
     def test_hand_values(self):
         assert primitive_part([2, 4, -6]) == [1, 2, -3]
@@ -189,7 +238,6 @@ class TestPrimitivePart:
     @given(st.lists(small_int, min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_result_has_unit_content(self, vec):
-        from math import gcd
         out = primitive_part(vec)
         g = 0
         for v in out:

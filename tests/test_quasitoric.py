@@ -6,7 +6,7 @@ and every roundtrip lands on an admissible conjugate of the source tower.
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -89,6 +89,37 @@ class TestValidate:
         big = [[1 if i == j else 0 for j in range(13)] for i in range(13)]
         with pytest.raises(ValueError):
             validate_characteristic(big)
+
+    def test_matches_principal_minor_scan(self):
+        # oracle: every principal minor of size >= 2 of the row-sign
+        # normalized matrix, with no shortcut for an acyclic support
+        def scan(rows):
+            if any(row[i] not in (1, -1) for i, row in enumerate(rows)):
+                return False
+            mat = [[row[i] * x for x in row] for i, row in enumerate(rows)]
+            n = len(mat)
+            return all(det_int([[mat[i][j] for j in sub] for i in sub]) in (1, -1)
+                       for k in range(2, n + 1) for sub in combinations(range(n), k))
+
+        rng = random.Random(211)
+        mats = []
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            mats.append(scramble(rng, from_bott_matrix(rand_bott(rng, n, bound=3))))
+        for _ in range(60):
+            hs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(2, 6))]
+            mats.append(scramble(rng, cycle_matrix(hs)))
+        for _ in range(60):
+            # a tower with one entry below the diagonal, often closing a cycle
+            n = rng.randint(2, 6)
+            rows = from_bott_matrix(rand_bott(rng, n, bound=2))
+            i = rng.randrange(1, n)
+            rows[i][rng.randrange(i)] = rng.choice((-2, -1, 1, 2))
+            mats.append(scramble(rng, rows))
+        verdicts = [validate_characteristic(mat) for mat in mats]
+        assert verdicts == [scan(mat) for mat in mats]
+        cyclic = [is_bott(mat) == (False, None) for mat, ok in zip(mats, verdicts) if ok]
+        assert verdicts.count(False) and cyclic.count(True) and cyclic.count(False)
 
 
 class TestIsBott:
