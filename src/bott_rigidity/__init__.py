@@ -54,6 +54,7 @@ from .quasitoric import (
     from_bott_matrix,
     is_bott,
     normalize_characteristic,
+    recognize,
     to_bott_matrix,
     validate_characteristic,
 )
@@ -69,8 +70,8 @@ __all__ = [
     "find_reducible_stage", "modular_iso_exists", "ring_isomorphic", "twist_number",
     "EquivalenceWitness", "OneTwistClass", "classify", "diffeo_equivalent",
     "integral_trivial", "pontrjagin_invariant", "rational_trivial",
-    "from_bott_matrix", "is_bott", "normalize_characteristic", "to_bott_matrix",
-    "validate_characteristic",
+    "from_bott_matrix", "is_bott", "normalize_characteristic", "recognize",
+    "to_bott_matrix", "validate_characteristic",
 ]
 
 __version__ = "0.1.0"

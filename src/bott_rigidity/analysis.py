@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .core import BottMatrix, BottRing, CoeffMode
 from .linalg import det_fraction, maximal_minors_gcd, rank_fraction, solve_linear
-from .moves import trivialize_stage, stage_fibration_trivial
+from .moves import _trivialized, stage_fibration_trivial
 from .quadratic import (
     line_product_pairs,
     line_square_pairs,
@@ -74,7 +74,8 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
         m = find_reducible_stage(cur, mode)
         if m is None:
             break
-        cur = trivialize_stage(cur, m, mode)
+        # find_reducible_stage has just checked stage m
+        cur = _trivialized(cur, m, mode)
         moves.append({"stage": m, "matrix": cur.to_lists()})
     value = cur.twist_count()
     oracle = None
@@ -190,16 +191,8 @@ def _presentation_search(matrix, mode, lines, pool, s):
             det = det_fraction(placed)
             if not unit(det):
                 continue
-            twist_rows = []
-            actual = 0
-            for pos, coeffs in enumerate(twists):
-                full = [Fraction(0)] * n
-                for q, c in enumerate(coeffs):
-                    full[q] = c
-                twist_rows.append(full)
-                if any(coeffs):
-                    actual += 1
-            if actual != s:
+            twist_rows = [list(coeffs) + [Fraction(0)] * (n - len(coeffs)) for coeffs in twists]
+            if sum(1 for coeffs in twists if any(coeffs)) != s:
                 raise AssertionError("ascending scan found fewer twists than targeted")
             return {
                 "basis": [list(r) for r in placed],

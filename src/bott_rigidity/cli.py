@@ -28,7 +28,7 @@ from .analysis import twist_number
 from .checks import SELFTEST_CHECKS
 from .core import BottMatrix, CoeffMode, integer_entries
 from .onetwist import classify, diffeo_equivalent, pontrjagin_invariant
-from .quasitoric import is_bott, to_bott_matrix, validate_characteristic
+from .quasitoric import recognize, to_bott_matrix
 
 CLASSIFY_GUARD = 200_000
 CERTIFY_N_MAX = 4
@@ -186,19 +186,16 @@ def cmd_classify(args) -> int:
 def cmd_recognize(args) -> int:
     rows = _load_square_matrix(args.matrix_file)
     try:
-        valid = validate_characteristic(rows)
+        valid, sigma = recognize(rows)
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return 3
-    payload = {"characteristic": valid, "bott": False, "sigma": None, "bott_matrix": None}
-    if valid:
-        accepted, sigma = is_bott(rows)
-        if accepted:
-            payload["bott"] = True
-            payload["sigma"] = list(sigma)
-            payload["bott_matrix"] = to_bott_matrix(rows, sigma).to_lists()
+    bott = sigma is not None
+    payload = {"characteristic": valid, "bott": bott,
+               "sigma": list(sigma) if bott else None,
+               "bott_matrix": to_bott_matrix(rows, sigma).to_lists() if bott else None}
     _emit(payload, args.output_format)
-    return 0 if payload["bott"] else 1
+    return 0 if bott else 1
 
 
 def cmd_selftest(args) -> int:

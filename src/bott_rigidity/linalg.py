@@ -2,11 +2,12 @@
 
 Everything here is dimension <= ~15, so clarity beats asymptotics. A
 rational matrix is first cleared to an integer one, row by row, in one
-place (_cleared_rows); after that, Bareiss gives determinants and one
-integer diagonalization gives ranks, gcds of maximal minors and
-solutions of A x = b over a chosen coefficient ring (Z, Q, or the
-2-local integers). It records the column transform only; the right-hand
-side rides along as one more column, so no row transform is built.
+place (_cleared_rows); after that, one fraction-free (Bareiss) row
+echelon form gives determinants and ranks, and one integer
+diagonalization gives gcds of maximal minors and solutions of A x = b
+over a chosen coefficient ring (Z, Q, or the 2-local integers). It
+records the column transform only; the right-hand side rides along as
+one more column, so no row transform is built.
 """
 
 from __future__ import annotations
@@ -35,30 +36,45 @@ def _cleared_rows(rows) -> tuple[list[list[int]], int]:
     return out, scale
 
 
+def _echelon(a: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row echelon form of integer rows, in place: (rank, sign).
+
+    sign is that of the row swaps. Every entry is a minor of the input, so
+    each division is exact and nothing outgrows the minors. A square
+    matrix of full rank ends with sign * det as its last pivot.
+    """
+    m, t = len(a), len(a[0]) if a else 0
+    sign = prev = 1
+    r = 0
+    for c in range(t):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        for row in a[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, t):
+                # exact division is guaranteed by the Bareiss identity
+                row[j] = (row[j] * top[c] - f * top[j]) // prev
+            row[c] = 0
+        prev = top[c]
+        r += 1
+    return r, sign
+
+
 def det_int(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss, fraction-free)."""
     n = len(rows)
     if n == 0:
         return 1
     a = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact division is guaranteed by the Bareiss identity
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    rank, sign = _echelon(a)
+    return sign * a[n - 1][n - 1] if rank == n else 0
 
 
 def det_fraction(rows) -> Fraction:
@@ -68,13 +84,8 @@ def det_fraction(rows) -> Fraction:
 
 
 def rank_fraction(rows) -> int:
-    """Rank over Q of a matrix with int/Fraction entries.
-
-    The diagonalization acts by unimodular row and column operations, so
-    the rank is the number of nonzero diagonal entries.
-    """
-    diag, _, _ = _diagonalize(_cleared_rows(rows)[0])
-    return sum(1 for d in diag if d)
+    """Rank over Q of a matrix with int/Fraction entries: its pivots in echelon form."""
+    return _echelon(_cleared_rows(rows)[0])[0]
 
 
 def maximal_minors_gcd(rows: list[list[int]]) -> int:
@@ -102,8 +113,8 @@ def _diagonalize(mat: list[list[int]], t: int | None = None):
     columns. Unimodular row operations act on whole rows unrecorded, so a
     later column comes back with them applied; column operations act on
     the first t columns and on the unimodular V. Those columns of a end
-    diagonal with entries diag (no divisibility chain; enough for solving,
-    the rank and the maximal-minor gcd).
+    diagonal with entries diag (no divisibility chain; enough for solving
+    and the maximal-minor gcd).
     """
     a = [list(r) for r in mat]
     m = len(a)

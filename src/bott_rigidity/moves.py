@@ -121,13 +121,15 @@ def trivialize_stage(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffMode.INT
     status and keeps the rational ring type.
     """
     mode = CoeffMode(mode)
+    if matrix.is_zero_column(m) or not stage_fibration_trivial(matrix, m, mode):
+        return None
+    return _trivialized(matrix, m, mode)
+
+
+def _trivialized(matrix: BottMatrix, m: int, mode: CoeffMode) -> BottMatrix:
+    """The rewrite of trivialize_stage, for a stage the caller has already checked."""
     n = matrix.n
-    col = matrix.column(m)
-    if all(c == 0 for c in col):
-        return None
-    if not stage_fibration_trivial(matrix, m, mode):
-        return None
-    half = [Fraction(c, 2) for c in col]
+    half = [Fraction(c, 2) for c in matrix.column(m)]
     rows = [[Fraction(matrix.entry(i, j)) for j in range(n)] for i in range(n)]
     for i in range(m):
         rows[i][m] = Fraction(0)

@@ -146,7 +146,8 @@ class RowSolutions:
     families lists (w0, step) pairs describing {w0 + t*step}; over the
     integer-like modes every integer t yields an admissible row, over the
     rationals every rational t. exhaustive is False when a rational search
-    had to fall back to probing a curve of solutions.
+    had to fall back to probing a curve of solutions, and over Z_(2)
+    whenever u^2 != 0, because only the integer rows are searched.
     """
 
     __slots__ = ("finite", "families", "exhaustive")
@@ -167,7 +168,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
     least the top pair index of u^2, the coordinates below m are pinned
     by v_m, and v_m itself is confined to divisors (integer modes) or to
     roots of an explicit polynomial (rational mode), so the solution set
-    is finite and is returned in full.
+    is finite and is returned in full (over Z_(2), its integer rows).
 
     The zero row solves every instance and is omitted: callers build
     basis rows or unimodular changes of basis, where it never occurs.
@@ -179,7 +180,6 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
     s = line_square_pairs(matrix, u)
     finite = []
     families = []
-    exhaustive = True
 
     def push_v(v):
         if line_square_pairs(matrix, v) != s:
@@ -196,8 +196,11 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
             fam = _affine_family(u, line, mode)
             if fam is not None:
                 families.append(fam)
-        return RowSolutions(finite, families, exhaustive)
+        return RowSolutions(finite, families, True)
 
+    # outside Q the searches below find the integer rows only, so they
+    # miss any row with an odd denominator that a ring such as Z_(2) holds
+    exhaustive = mode.is_field or not mode.contains(Fraction(1, 3))
     top = max(j for _, j in s)
     for m in range(top, n):
         col = [matrix.entry(i, m) for i in range(m)]

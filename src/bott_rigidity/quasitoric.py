@@ -26,13 +26,9 @@ def normalize_characteristic(rows):
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("characteristic matrix must be square")
-    out = []
-    for i, row in enumerate(mat):
-        d = row[i]
-        if d not in (1, -1):
-            return None
-        out.append([x if d == 1 else -x for x in row])
-    return out
+    if any(row[i] not in (1, -1) for i, row in enumerate(mat)):
+        return None
+    return [[row[i] * x for x in row] for i, row in enumerate(mat)]
 
 
 def principal_minor(rows, subset) -> int:
@@ -62,45 +58,41 @@ def _stage_order(mat):
     return tuple(sigma)
 
 
-def validate_characteristic(rows) -> bool:
-    """All principal minors are +1 or -1 (checked on the normalized matrix).
+def recognize(rows):
+    """(characteristic, sigma) from one normalization and one stage order.
 
-    An acyclic support runs no scan: its stage order makes the matrix
-    unitriangular, so every principal minor is +1.
+    sigma is the stage order of an acyclic support, which proves every
+    principal minor +1, and None otherwise. Only a cyclic support is
+    scanned, each minor once, and only that scan is refused above
+    MINOR_SCAN_N_MAX (ValueError).
     """
     mat = normalize_characteristic(rows)
     if mat is None:
-        return False
-    n = len(mat)
-    if n > MINOR_SCAN_N_MAX:
-        raise ValueError(f"refusing principal-minor scan for n={n} > {MINOR_SCAN_N_MAX}")
-    if _stage_order(mat) is not None:
-        return True
-    for k in range(2, n + 1):
-        for subset in combinations(range(n), k):
-            if principal_minor(mat, subset) not in (1, -1):
-                return False
-    return True
-
-
-def is_bott(rows):
-    """Decide whether the characteristic matrix comes from a Bott tower.
-
-    A stage order of the normalized matrix makes it unitriangular, which
-    proves it characteristic with every principal minor +1, so (True,
-    stage permutation) is returned without a minor scan. A cycle returns
-    (False, None) once validate_characteristic passes. An invalid
-    characteristic matrix raises ValueError.
-    """
-    mat = normalize_characteristic(rows)
-    if mat is None:
-        raise ValueError("input is not a valid characteristic matrix")
+        return False, None
     sigma = _stage_order(mat)
     if sigma is not None:
         return True, sigma
-    if not validate_characteristic(rows):
+    n = len(mat)
+    if n > MINOR_SCAN_N_MAX:
+        raise ValueError(f"refusing principal-minor scan for n={n} > {MINOR_SCAN_N_MAX}")
+    return all(principal_minor(mat, subset) in (1, -1)
+               for k in range(2, n + 1) for subset in combinations(range(n), k)), None
+
+
+def validate_characteristic(rows) -> bool:
+    """All principal minors are +1 or -1 (checked on the normalized matrix); see recognize."""
+    return recognize(rows)[0]
+
+
+def is_bott(rows):
+    """(True, stage permutation) for a Bott tower, (False, None) on a cycle; see recognize.
+
+    An invalid characteristic matrix raises ValueError.
+    """
+    valid, sigma = recognize(rows)
+    if not valid:
         raise ValueError("input is not a valid characteristic matrix")
-    return False, None
+    return sigma is not None, sigma
 
 
 def to_bott_matrix(rows, sigma) -> BottMatrix:

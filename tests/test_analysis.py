@@ -24,6 +24,7 @@ from bott_rigidity import (
     trivialize_stage,
     twist_number,
 )
+from bott_rigidity import analysis, moves
 from bott_rigidity.checks import even_block_forces_even_det, rand_bott
 from bott_rigidity.linalg import det_fraction, det_int
 
@@ -72,6 +73,25 @@ class TestTwistNumber:
             assert cur == rep.final_matrix
             assert cur.twist_count() == rep.twist
             assert find_reducible_stage(cur) is None
+
+    def test_each_stage_checked_once(self, monkeypatch):
+        # the greedy loop rewrites the stage find_reducible_stage accepted
+        # without checking it again: stage 3 is odd, so the passes check
+        # stages (3, 2), (3, 1) and (3)
+        seen = []
+        check = moves.stage_fibration_trivial
+
+        def counting(matrix, m, mode=CoeffMode.INTEGER):
+            seen.append((matrix, m))
+            return check(matrix, m, mode)
+
+        monkeypatch.setattr(analysis, "stage_fibration_trivial", counting)
+        monkeypatch.setattr(moves, "stage_fibration_trivial", counting)
+        rep = twist_number(BottMatrix([[0, 2, 2, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))
+        assert [move["stage"] for move in rep.witness_moves] == [2, 1]
+        assert rep.twist == 1
+        assert [m for _, m in seen] == [3, 2, 3, 1, 3]
+        assert len(set(seen)) == len(seen)
 
     def test_certification(self):
         rep = twist_number(BottMatrix([[0, 2], [0, 0]]), certify=True)
@@ -177,6 +197,29 @@ class TestRingIsomorphic:
         assert rep.isomorphic is False and rep.complete
         assert rep.reason == "no unit change of basis mod 3"
         assert rep.moduli_checked == (2, 4, 3)
+
+    def test_mod_eight_after_the_search(self):
+        # mod 2, 4 (and 3, 9 over Z) admit a change of basis and the
+        # witness search is not exhaustive, so mod 8 runs after it and
+        # decides; Q has no finite quotient, and a witness exists there
+        a = BottMatrix([[0, -2, -3], [0, 0, 1], [0, 0, 0]])
+        b = BottMatrix([[0, 0, -1], [0, 0, -2], [0, 0, 0]])
+        for mode, moduli in ((CoeffMode.INTEGER, (2, 4, 3, 9, 8)),
+                             (CoeffMode.TWO_LOCAL, (2, 4, 8))):
+            rep = ring_isomorphic(a, b, mode)
+            assert (rep.isomorphic, rep.reason, rep.complete, rep.moduli_checked) == \
+                (False, "no unit change of basis mod 8", True, moduli)
+        rep = ring_isomorphic(a, b, CoeffMode.RATIONAL)
+        assert (rep.isomorphic, rep.reason, rep.moduli_checked) == (True, "witness verified", ())
+        host, target = (a, b) if rep.witness["direction"] == "second_into_first" else (b, a)
+        ring = BottRing(host, CoeffMode.RATIONAL)
+        elems = [ring.line_element(r) for r in rep.witness["rows"]]
+        for k in range(target.n):
+            u = ring.zero()
+            for i in range(k):
+                u = u + target.entry(i, k) * elems[i]
+            assert (elems[k] * elems[k] - u * elems[k]).is_zero()
+        assert det_fraction(rep.witness["rows"]) != 0
 
     def test_honest_none_outside_search_bound(self):
         # inequivalent (|products| 3, 3, 9 vs 9, 9, 9), but mod 2, 4, 3 and

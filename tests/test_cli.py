@@ -259,33 +259,42 @@ class TestRecognize:
         assert json.loads(out)["characteristic"] is False
 
     def test_minor_scan_guard(self, tmp_path, capsys):
+        # only a cyclic support is scanned, so only it meets the guard
+        path = write_json(tmp_path, "c.json", cycle_matrix([-2] + [1] * 12))
+        rc, out, err = run(capsys, ["recognize", path])
+        assert rc == 3 and err and out == ""
         big = [[1 if i == j else 0 for j in range(13)] for i in range(13)]
         path = write_json(tmp_path, "c.json", big)
-        rc, _, err = run(capsys, ["recognize", path])
-        assert rc == 3 and err
+        rc, out, err = run(capsys, ["recognize", path])
+        assert rc == 0 and err == ""
+        assert json.loads(out)["sigma"] == list(range(13))
 
     def test_one_minor_scan_per_tower(self, tmp_path, capsys, monkeypatch):
-        # the stage order of an acyclic support proves every principal
-        # minor +1, so a tower runs no minor scan; a cyclic input still
-        # scans its 2^5 - 5 - 1 minors of size >= 2 twice, once in
-        # validate_characteristic and once inside is_bott
-        calls = []
+        # one normalization and one stage order decide; the stage order of
+        # an acyclic support proves every principal minor +1, so a tower
+        # runs no minor scan (its second normalization is to_bott_matrix's),
+        # and a cyclic input scans its 2^5 - 5 - 1 minors of size >= 2 once
+        calls = {"normalize": 0, "order": 0, "det": 0}
 
-        def counting_det(rows):
-            calls.append(len(rows))
-            return det_int(rows)
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(quasitoric, "det_int", counting_det)
-        tower = [[1, 0, 2, 0, 0], [0, 1, 0, 0, 0], [0, -1, 1, 0, 0],
-                 [1, 0, 0, -1, 0], [2, 1, 0, 1, 1]]
-        path = write_json(tmp_path, "c.json", tower)
+        monkeypatch.setattr(quasitoric, "normalize_characteristic",
+                            counting("normalize", quasitoric.normalize_characteristic))
+        monkeypatch.setattr(quasitoric, "_stage_order", counting("order", quasitoric._stage_order))
+        monkeypatch.setattr(quasitoric, "det_int", counting("det", det_int))
+        path = write_json(tmp_path, "c.json", HEIGHT_5_TOWER)
         rc, out, _ = run(capsys, ["recognize", path])
         assert rc == 0 and json.loads(out)["bott"] is True
-        assert len(calls) == 0
+        assert calls == {"normalize": 2, "order": 1, "det": 0}
+        calls.update(normalize=0, order=0, det=0)
         path = write_json(tmp_path, "c.json", cycle_matrix([-2, 1, 1, 1, 1]))
         rc, out, _ = run(capsys, ["recognize", path])
         assert rc == 1 and json.loads(out)["characteristic"] is True
-        assert len(calls) == 52
+        assert calls == {"normalize": 1, "order": 1, "det": 26}
 
     def test_pinned_format_digests(self, tmp_path, capsys):
         pinned = [

@@ -4,6 +4,7 @@ Reference values are either hand computations on tiny matrices or an
 independent cofactor-expansion oracle implemented here.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -44,6 +45,24 @@ def minor_rank(rows):
                 if cofactor_det([[rows[i][j] for j in cs] for i in rs]):
                     return k
     return 0
+
+
+def gauss_jordan_rank(rows):
+    # independent oracle: Gauss-Jordan elimination over Fraction
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        a[rank] = [x / a[rank][c] for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
 
 
 def minors_gcd(rows):
@@ -115,6 +134,23 @@ class TestRank:
         assert rank == minor_rank(rows)
         if len(rows) == len(rows[0]):
             assert (rank == len(rows)) == (cofactor_det(rows) != 0)
+
+    def test_dense_matrices(self):
+        # dense 8 x 8 matrices with entries in [-4, 4], and products of
+        # 8 x r and r x 8 ones for a planted rank r: the fraction-free
+        # echelon keeps its entries at the size of the minors
+        rng = random.Random(8)
+        mats = [[[rng.randint(-4, 4) for _ in range(8)] for _ in range(8)]
+                for _ in range(100)]
+        for _ in range(100):
+            r = rng.randint(0, 8)
+            left = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(8)]
+            right = [[rng.randint(-4, 4) for _ in range(8)] for _ in range(r)]
+            mats.append([[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+                         if r else [0] * 8 for row in left])
+        ranks = [rank_fraction(rows) for rows in mats]
+        assert ranks == [gauss_jordan_rank(rows) for rows in mats]
+        assert len(set(ranks)) >= 5
 
 
 class TestMaximalMinorsGcd:

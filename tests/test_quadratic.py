@@ -211,6 +211,18 @@ class TestTwistedRowSolutions:
         assert len(sols.families) == 2
         assert sols.exhaustive
 
+    def test_two_local_search_is_not_exhaustive(self):
+        # over Z_(2) the row w = (0, 0, -10/3) also solves w^2 = u w, but the
+        # search finds integer rows only, so it must not claim completeness
+        mat = BottMatrix([[0, -2, 3], [0, 0, -3], [0, 0, 0]])
+        u = (2, -2, -4)
+        ring = BottRing(mat, CoeffMode.TWO_LOCAL)
+        w = ring.line_element([0, 0, Fraction(-10, 3)])
+        assert (w * w - ring.line_element(u) * w).is_zero()
+        sols = twisted_row_solutions(mat, u, CoeffMode.TWO_LOCAL)
+        assert sols.finite == [(2, -2, -4)] and not sols.exhaustive
+        assert twisted_row_solutions(mat, u, CoeffMode.INTEGER).exhaustive
+
     def test_report_type(self):
         sols = twisted_row_solutions(BottMatrix.zeros(2), [0, 0], CoeffMode.INTEGER)
         assert isinstance(sols, RowSolutions)

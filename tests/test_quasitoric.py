@@ -86,9 +86,12 @@ class TestValidate:
             assert validate_characteristic(mat) == (abs(det_int(mat)) == 1)
 
     def test_size_guard(self):
-        big = [[1 if i == j else 0 for j in range(13)] for i in range(13)]
+        # the guard bounds the minor scan, which only a cyclic support runs
+        big = cycle_matrix([-2] + [1] * 12)
         with pytest.raises(ValueError):
             validate_characteristic(big)
+        tower = [[1 if i == j else 0 for j in range(13)] for i in range(13)]
+        assert validate_characteristic(tower)
 
     def test_matches_principal_minor_scan(self):
         # oracle: every principal minor of size >= 2 of the row-sign
@@ -170,8 +173,16 @@ class TestIsBott:
             pi[rho[i]] = sigma[i]
         assert is_admissible(lam, pi)
         assert to_bott_matrix(scr, sigma) == conjugate(lam, pi)
+        assert validate_characteristic(scr)
+        # a 2-cycle between the first and last stage needs the scan, which
+        # the guard refuses
+        first, last = sigma.index(0), sigma.index(n - 1)
+        cyc = [row[:] for row in scr]
+        cyc[first][last] = cyc[last][first] = 1
         with pytest.raises(ValueError, match="principal-minor scan"):
-            validate_characteristic(scr)
+            validate_characteristic(cyc)
+        with pytest.raises(ValueError, match="principal-minor scan"):
+            is_bott(cyc)
 
     def test_factorial_scan_guard(self):
         big = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
