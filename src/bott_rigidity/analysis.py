@@ -98,10 +98,12 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
 class ComplexityReport:
     value: int
     lower_bound: int
-    certified: bool
     witness: dict | None
     mode: CoeffMode
-    bound: int
+
+    @property
+    def certified(self) -> bool:
+        return self.value == self.lower_bound
 
 
 def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
@@ -136,9 +138,7 @@ def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     for s in range(lower, n + 1):
         witness = _presentation_search(matrix, mode, lines, pool, s)
         if witness is not None:
-            return ComplexityReport(value=s, lower_bound=lower,
-                                    certified=(s == lower), witness=witness,
-                                    mode=mode, bound=bound)
+            return ComplexityReport(value=s, lower_bound=lower, witness=witness, mode=mode)
     raise AssertionError("identity fallback should have terminated the scan")
 
 
@@ -217,9 +217,12 @@ class IsoReport:
     isomorphic: bool | None
     witness: dict | None
     reason: str
-    complete: bool
     mode: CoeffMode
     moduli_checked: tuple
+
+    @property
+    def complete(self) -> bool:
+        return self.isomorphic is not None
 
 
 # Largest scan, in vectors per row, allowed for an odd modulus q: q**n must
@@ -267,18 +270,18 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
     """Decide graded ring isomorphism over the chosen coefficients.
 
     True comes with a verified change of basis. False only ever comes
-    from a sound obstruction: a square-zero line invariant, a finite
-    quotient with no unit change of basis (integer-like modes), or an
-    exhaustive witness search. When the search had to sample an infinite
-    family and found nothing, the answer is None rather than a guess.
+    from a sound obstruction: the stage count, the square-zero line
+    count, or a finite quotient with no unit change of basis
+    (integer-like modes). The witness search can only prove an
+    isomorphism, so when it finds none and no quotient obstructs, the
+    answer is None rather than a guess.
 
     The cheap finite quotients run first: mod 2, mod 4, then (integer
     mode only) mod p and mod p^2 in ascending order for every odd prime p
     dividing a nonzero entry of either tower, keeping a modulus q only
     while q^n <= ODD_SCAN_LIMIT. Then comes the witness search in both
-    directions, and mod 8 after a search that was not exhaustive. Over
-    Z_(2) odd primes are units, so only 2, 4 and 8 apply; over Q no
-    quotient applies.
+    directions, and mod 8 after a failed search. Over Z_(2) odd primes
+    are units, so only 2, 4 and 8 apply; over Q no quotient applies.
 
     Soundness of a quotient mod q: H*(M; Z) is free, so H*(M; Z/q) is
     H*(M; Z) tensored with Z/q. A change of basis in GL_n(Z) therefore
@@ -289,12 +292,12 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
     """
     mode = CoeffMode(mode)
     if a.n != b.n:
-        return IsoReport(False, None, "stage count differs", True, mode, ())
+        return IsoReport(False, None, "stage count differs", mode, ())
     la, lb = square_zero_lines(a), square_zero_lines(b)
     # the lines have distinct top indices (square_zero_lines), so they are
     # independent and their count is their span rank
     if len(la) != len(lb):
-        return IsoReport(False, None, "square-zero line count differs", True, mode, ())
+        return IsoReport(False, None, "square-zero line count differs", mode, ())
     before, after = _iso_moduli(a, b, mode)
     checked = []
 
@@ -303,29 +306,24 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
             checked.append(m)
             if not modular_iso_exists(a, b, m):
                 return IsoReport(False, None, f"no unit change of basis mod {m}",
-                                 True, mode, tuple(checked))
+                                 mode, tuple(checked))
         return None
 
     report = obstructed(before)
     if report is not None:
         return report
-    rows1, ex1 = _dfs_direction(a, b, mode, la)
-    if rows1 is not None:
-        witness = _verified_witness(a, b, rows1, mode, "second_into_first")
-        return IsoReport(True, witness, "witness verified", True, mode, tuple(checked))
-    rows2, ex2 = _dfs_direction(b, a, mode, lb)
-    if rows2 is not None:
-        witness = _verified_witness(b, a, rows2, mode, "first_into_second")
-        return IsoReport(True, witness, "witness verified", True, mode, tuple(checked))
-    if ex1 or ex2:
-        return IsoReport(False, None, "exhaustive search found no unit change of basis",
-                         True, mode, tuple(checked))
+    for host, target, lines, direction in ((a, b, la, "second_into_first"),
+                                           (b, a, lb, "first_into_second")):
+        rows = _dfs_direction(host, target, mode, lines)
+        if rows is not None:
+            witness = _verified_witness(host, target, rows, mode, direction)
+            return IsoReport(True, witness, "witness verified", mode, tuple(checked))
     report = obstructed(after)
     if report is not None:
         return report
     return IsoReport(None, None,
                      "no witness within bound and no obstruction found",
-                     False, mode, tuple(checked))
+                     mode, tuple(checked))
 
 
 def _verified_witness(host, target, rows, mode, direction):
@@ -347,26 +345,23 @@ def _verified_witness(host, target, rows, mode, direction):
 def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode, lines):
     """Search rows mapping target's generators into host's ring.
 
-    lines are host's square-zero lines. Returns (rows, exhaustive). Row k
-    solves w^2 = u w for u the image of target's twist form; the per-row
-    solution sets are exact, so the only completeness loss is interior
-    sampling of affine families at the parameters |t| <= FAMILY_SAMPLE,
-    tracked in the exhaustive flag. Families reaching the final row are
-    resolved exactly through the linearity of the determinant in one row.
+    lines are host's square-zero lines. Returns the rows of a unit change
+    of basis, or None when none was found. Row k solves w^2 = u w for u
+    the image of target's twist form, drawn from twisted_row_solutions;
+    affine families below the last row are sampled at the parameters
+    |t| <= FAMILY_SAMPLE, and families reaching the last row are resolved
+    exactly through the linearity of the determinant in one row. None
+    proves nothing: for n >= 2, row 0 always samples the family of the
+    square-zero line e_0.
     """
     n = host.n
-    state = {"exhaustive": True}
     rows: list = []
 
     def candidates(k):
         u = tuple(sum(target.entry(i, k) * rows[i][c] for i in range(k)) for c in range(n))
         sols = twisted_row_solutions(host, u, mode, lines=lines)
-        if not sols.exhaustive:
-            state["exhaustive"] = False
         cands = list(sols.finite)
         if k < n - 1:
-            if sols.families:
-                state["exhaustive"] = False
             for w0, step in sols.families:
                 for t in range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1):
                     w = tuple(a + t * b for a, b in zip(w0, step))
@@ -393,8 +388,8 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode, lines)
         return False
 
     if rec(0):
-        return [tuple(r) for r in rows], True
-    return None, state["exhaustive"]
+        return [tuple(r) for r in rows]
+    return None
 
 
 def _final_family_rows(rows, fam, mode: CoeffMode):

@@ -28,7 +28,7 @@ from .analysis import twist_number
 from .checks import SELFTEST_CHECKS
 from .core import BottMatrix, CoeffMode, integer_entries
 from .onetwist import classify, diffeo_equivalent, pontrjagin_invariant
-from .quasitoric import recognize, to_bott_matrix
+from .quasitoric import _recognition, _reordered_bott
 
 CLASSIFY_GUARD = 200_000
 CERTIFY_N_MAX = 4
@@ -186,14 +186,14 @@ def cmd_classify(args) -> int:
 def cmd_recognize(args) -> int:
     rows = _load_square_matrix(args.matrix_file)
     try:
-        valid, sigma = recognize(rows)
+        mat, valid, sigma = _recognition(rows)
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return 3
     bott = sigma is not None
     payload = {"characteristic": valid, "bott": bott,
                "sigma": list(sigma) if bott else None,
-               "bott_matrix": to_bott_matrix(rows, sigma).to_lists() if bott else None}
+               "bott_matrix": _reordered_bott(mat, sigma).to_lists() if bott else None}
     _emit(payload, args.output_format)
     return 0 if bott else 1
 

@@ -7,7 +7,7 @@ on the squarefree pairs x_i x_j (i < j) with coefficient
 
 the last summand coming from x_j^2 = f_j x_j. Everything in this module
 is built from that formula: enumeration of the square-zero lines in
-degree 2, and the complete solution of the quadratic equation
+degree 2, and the exact solutions of the quadratic equation
 w^2 = u * w for a known u, which is how rows of a candidate change of
 basis are produced without scanning a coefficient box.
 """
@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 from .core import BottMatrix, CoeffMode
-from .linalg import _cleared_rows, primitive_part
+from .linalg import _cleared_rows
 
 RATIONAL_PROBE = 4
 
@@ -141,21 +142,20 @@ def _affine_family(u, line, mode: CoeffMode):
 
 
 class RowSolutions:
-    """Solution set of w^2 = u*w: finitely many rows plus affine families.
+    """Solutions of w^2 = u*w found by twisted_row_solutions.
 
-    families lists (w0, step) pairs describing {w0 + t*step}; over the
-    integer-like modes every integer t yields an admissible row, over the
-    rationals every rational t. exhaustive is False when a rational search
-    had to fall back to probing a curve of solutions, and over Z_(2)
-    whenever u^2 != 0, because only the integer rows are searched.
+    finite lists single rows; families lists (w0, step) pairs describing
+    {w0 + t*step}, where over the integer-like modes every integer t
+    yields an admissible row and over the rationals every rational t.
+    The rows are candidates for a witness, so a solution they miss can
+    only cost a witness, never give a False verdict.
     """
 
-    __slots__ = ("finite", "families", "exhaustive")
+    __slots__ = ("finite", "families")
 
-    def __init__(self, finite, families, exhaustive):
+    def __init__(self, finite, families):
         self.finite = finite
         self.families = families
-        self.exhaustive = exhaustive
 
 
 def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
@@ -168,7 +168,9 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
     least the top pair index of u^2, the coordinates below m are pinned
     by v_m, and v_m itself is confined to divisors (integer modes) or to
     roots of an explicit polynomial (rational mode), so the solution set
-    is finite and is returned in full (over Z_(2), its integer rows).
+    is finite. It is returned in full over Z; over Z_(2) only its integer
+    rows are found, and over Q a degenerate case is probed at finitely
+    many points (_case_pinned_rational).
 
     The zero row solves every instance and is omitted: callers build
     basis rows or unimodular changes of basis, where it never occurs.
@@ -196,20 +198,15 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
             fam = _affine_family(u, line, mode)
             if fam is not None:
                 families.append(fam)
-        return RowSolutions(finite, families, True)
+        return RowSolutions(finite, families)
 
-    # outside Q the searches below find the integer rows only, so they
-    # miss any row with an odd denominator that a ring such as Z_(2) holds
-    exhaustive = mode.is_field or not mode.contains(Fraction(1, 3))
     top = max(j for _, j in s)
     for m in range(top, n):
         col = [matrix.entry(i, m) for i in range(m)]
         sim = [s.get((i, m), 0) for i in range(m)]
         if any(sim):
             if mode.is_field:
-                vals, probed = _case_pinned_rational(matrix, s, m, col, sim)
-                exhaustive = exhaustive and not probed
-                for v in vals:
+                for v in _case_pinned_rational(matrix, s, m, col, sim):
                     push_v(v)
             else:
                 if any(x.denominator != 1 for x in sim):
@@ -235,7 +232,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
             if t is not None and (mode.is_field or t.denominator == 1):
                 for tt in (t, -t):
                     push_v(tuple(tt * x for x in delta))
-    return RowSolutions(finite, families, exhaustive)
+    return RowSolutions(finite, families)
 
 
 def _case_pinned_rational(matrix, s, m, col, sim):
@@ -244,8 +241,7 @@ def _case_pinned_rational(matrix, s, m, col, sim):
     v_i = (s_im - c_im v_m^2) / (2 v_m) for i < m; each remaining pair
     equation clears to a polynomial in v_m of degree at most 4. A
     nontrivial polynomial has finitely many rational roots; when every
-    equation degenerates the curve is probed at v_m = +-1..RATIONAL_PROBE
-    and the probed flag is raised.
+    equation degenerates the curve is probed at v_m = +-1..RATIONAL_PROBE.
     """
     n = matrix.n
 
@@ -276,12 +272,12 @@ def _case_pinned_rational(matrix, s, m, col, sim):
         if poly:
             break
     if poly is not None:
-        return [build(r) for r in _rational_roots(poly) if r != 0], False
+        return [build(r) for r in _rational_roots(poly) if r != 0]
     vals = []
     for k in range(1, RATIONAL_PROBE + 1):
         for vm in (Fraction(k), Fraction(-k)):
             vals.append(build(vm))
-    return vals, True
+    return vals
 
 
 def primitive_rows_box(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
@@ -296,22 +292,5 @@ def primitive_rows_box(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=32)
 def _primitive_rows_box(n: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            if any(prefix):
-                v = primitive_part(list(prefix))
-                t = tuple(v)
-                if t not in seen:
-                    seen.add(t)
-                    out.append(t)
-            return
-        started = any(prefix)
-        lo = -bound if started else 0
-        for x in range(lo, bound + 1):
-            rec(prefix + (x,))
-
-    seen: set = set()
-    rec(())
-    return tuple(out)
+    box = product(range(-bound, bound + 1), repeat=n)
+    return tuple(v for v in box if gcd(*v) == 1 and next(x for x in v if x) > 0)

@@ -58,6 +58,24 @@ def _stage_order(mat):
     return tuple(sigma)
 
 
+def _recognition(rows):
+    """(normalized matrix, characteristic, sigma); see recognize.
+
+    The matrix is None when the rows cannot be normalized.
+    """
+    mat = normalize_characteristic(rows)
+    if mat is None:
+        return None, False, None
+    sigma = _stage_order(mat)
+    if sigma is not None:
+        return mat, True, sigma
+    n = len(mat)
+    if n > MINOR_SCAN_N_MAX:
+        raise ValueError(f"refusing principal-minor scan for n={n} > {MINOR_SCAN_N_MAX}")
+    return mat, all(principal_minor(mat, subset) in (1, -1)
+                    for k in range(2, n + 1) for subset in combinations(range(n), k)), None
+
+
 def recognize(rows):
     """(characteristic, sigma) from one normalization and one stage order.
 
@@ -66,17 +84,8 @@ def recognize(rows):
     scanned, each minor once, and only that scan is refused above
     MINOR_SCAN_N_MAX (ValueError).
     """
-    mat = normalize_characteristic(rows)
-    if mat is None:
-        return False, None
-    sigma = _stage_order(mat)
-    if sigma is not None:
-        return True, sigma
-    n = len(mat)
-    if n > MINOR_SCAN_N_MAX:
-        raise ValueError(f"refusing principal-minor scan for n={n} > {MINOR_SCAN_N_MAX}")
-    return all(principal_minor(mat, subset) in (1, -1)
-               for k in range(2, n + 1) for subset in combinations(range(n), k)), None
+    _, valid, sigma = _recognition(rows)
+    return valid, sigma
 
 
 def validate_characteristic(rows) -> bool:
@@ -100,6 +109,11 @@ def to_bott_matrix(rows, sigma) -> BottMatrix:
     mat = normalize_characteristic(rows)
     if mat is None:
         raise ValueError("input is not normalizable to a unit diagonal")
+    return _reordered_bott(mat, sigma)
+
+
+def _reordered_bott(mat, sigma) -> BottMatrix:
+    """to_bott_matrix of a matrix that is already normalized."""
     n = len(mat)
     conj = [[0] * n for _ in range(n)]
     for i in range(n):

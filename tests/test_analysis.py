@@ -200,8 +200,8 @@ class TestRingIsomorphic:
 
     def test_mod_eight_after_the_search(self):
         # mod 2, 4 (and 3, 9 over Z) admit a change of basis and the
-        # witness search is not exhaustive, so mod 8 runs after it and
-        # decides; Q has no finite quotient, and a witness exists there
+        # witness search finds none, so mod 8 runs after it and decides;
+        # Q has no finite quotient, and a witness exists there
         a = BottMatrix([[0, -2, -3], [0, 0, 1], [0, 0, 0]])
         b = BottMatrix([[0, 0, -1], [0, 0, -2], [0, 0, 0]])
         for mode, moduli in ((CoeffMode.INTEGER, (2, 4, 3, 9, 8)),

@@ -272,7 +272,7 @@ class TestRecognize:
     def test_one_minor_scan_per_tower(self, tmp_path, capsys, monkeypatch):
         # one normalization and one stage order decide; the stage order of
         # an acyclic support proves every principal minor +1, so a tower
-        # runs no minor scan (its second normalization is to_bott_matrix's),
+        # runs no minor scan and its Bott matrix reuses the normalization,
         # and a cyclic input scans its 2^5 - 5 - 1 minors of size >= 2 once
         calls = {"normalize": 0, "order": 0, "det": 0}
 
@@ -289,7 +289,7 @@ class TestRecognize:
         path = write_json(tmp_path, "c.json", HEIGHT_5_TOWER)
         rc, out, _ = run(capsys, ["recognize", path])
         assert rc == 0 and json.loads(out)["bott"] is True
-        assert calls == {"normalize": 2, "order": 1, "det": 0}
+        assert calls == {"normalize": 1, "order": 1, "det": 0}
         calls.update(normalize=0, order=0, det=0)
         path = write_json(tmp_path, "c.json", cycle_matrix([-2, 1, 1, 1, 1]))
         rc, out, _ = run(capsys, ["recognize", path])
