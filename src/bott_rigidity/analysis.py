@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import BottMatrix, BottRing, CoeffMode
+from .core import BottMatrix, BottRing, CoeffMode, integer_entries
 from .linalg import det_fraction, maximal_minors_gcd, rank_fraction, solve_linear
 from .moves import _trivialized, stage_fibration_trivial
 from .quadratic import (
@@ -423,77 +423,91 @@ def _prime_of(modulus: int) -> int:
 def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     """Whether b's presentation maps into a's ring over Z/modulus with unit det.
 
-    modulus is a prime power p^k (anything else raises ValueError). A
-    determinant is a unit mod p^k exactly when it is nonzero mod p, so
-    the placed rows are kept in an echelon form mod p, pushed when a row
-    is placed and popped on backtrack; a row is placed only when it is
-    independent mod p of the earlier ones, so reaching the last row
-    already guarantees invertibility. Candidate rows for a twist image u
-    are generated coordinate by coordinate, because the relation for the
-    pair (i, j) involves only w_i, w_j and u; they come out in the
-    lexicographic order of product(range(modulus), repeat=n) and are
-    memoized by u. A failure is a sound obstruction for the integral
-    question and, for powers of 2, for the 2-local one.
+    modulus is an int prime power q = p^k: a non-int raises TypeError, any
+    other int ValueError. Row k is a vector w of (Z/q)^n with w^2 = u w in
+    a's ring mod q, where u is the image of b's twist form f_k under the
+    rows already placed. The relation for the pair (i, j) is a quadratic
+    in w_j whose coefficients involve only w_i and u, so the candidates
+    are built coordinate by coordinate from a lazily filled table of roots
+    mod q. They come out in the lexicographic order of
+    product(range(q), repeat=n), are memoized by u and carry their
+    reduction mod p.
+
+    A determinant is a unit mod q exactly when it is nonzero mod p. The
+    search therefore keeps the span mod p of the placed rows as the set of
+    its vectors: a row is placed only when its reduction lies outside the
+    set, so reaching the last row already guarantees invertibility. Child
+    spans are memoized by (span, row). Failed states are memoized too,
+    keyed on the span and on the partial images sum_{i<k} b_ik' w_i mod q
+    of the twist forms of every row k' >= k. The key is exact, because the
+    rest of the search reads the placed rows only through those twist
+    images and through the independence test against the span.
+
+    A failure is a sound obstruction for the integral question and, for
+    powers of 2, for the 2-local one.
     """
+    integer_entries((modulus,), "modulus")
     p = _prime_of(modulus)
+    q = modulus
     n = a.n
     if n != b.n:
         return False
-    c = [[a.entry(i, j) for j in range(n)] for i in range(n)]
-    twist = [b.column(k) for k in range(n)]
+    c = [[a.entry(i, j) % q for j in range(n)] for i in range(n)]
+    # coefficients of row k in the twist forms of the later rows
+    later = [[b.entry(k, j) % q for j in range(k + 1, n)] for k in range(n)]
+    roots: dict = {}
     memo: dict = {}
-    rows: list = []
-    echelon: list = []
+    spans: dict = {}
+    dead: set = set()
 
     def candidates(u):
-        out = []
-        w = [0] * n
-
-        def fill(j):
-            if j == n:
-                out.append(tuple(w))
-                return
+        # pair (i, j): c_ij w_j^2 + (2 w_i - c_ij u_j - u_i) w_j - u_j w_i = 0,
+        # so the prefixes are extended one coordinate at a time
+        prefixes = [()]
+        for j in range(n):
             uj = u[j]
-            for x in range(modulus):
-                # pair (i, j): 2 w_i w_j + c_ij w_j^2 - u_i w_j - u_j w_i - c_ij u_j w_j = 0,
-                # factored in x = w_j
+            longer = []
+            for w in prefixes:
+                xs = range(q)
                 for i in range(j):
-                    if (x * (2 * w[i] + c[i][j] * (x - uj) - u[i]) - uj * w[i]) % modulus:
+                    cij = c[i][j]
+                    key = (cij, (2 * w[i] - cij * uj - u[i]) % q, -uj * w[i] % q)
+                    r = roots.get(key)
+                    if r is None:
+                        _, lin, const = key
+                        r = roots[key] = [x for x in range(q)
+                                          if (x * (cij * x + lin) + const) % q == 0]
+                    xs = r if i == 0 else [x for x in xs if x in r]
+                    if not xs:
                         break
-                else:
-                    w[j] = x
-                    fill(j + 1)
+                longer += [w + (x,) for x in xs]
+            prefixes = longer
+        return [(w, tuple([x % p for x in w])) for w in prefixes]
 
-        fill(0)
-        return out
-
-    def reduced(w):
-        v = [x % p for x in w]
-        for piv, r in echelon:
-            f = v[piv]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, r)]
-        return v
-
-    def rec(k):
-        if k == n:
-            return True
-        u = tuple(sum(t * r[col] for t, r in zip(twist[k], rows)) % modulus
-                  for col in range(n))
+    def rec(k, images, span):
+        # images[k' - k] is the image of f_k' under the rows placed so far
+        key = (images, span)
+        if key in dead:
+            return False
+        u = images[0]
         if u not in memo:
             memo[u] = candidates(u)
-        for w in memo[u]:
-            v = reduced(w)
-            piv = next((col for col, x in enumerate(v) if x), None)
-            if piv is None:
+        for w, wp in memo[u]:
+            if wp in span:
                 continue
-            inv = pow(v[piv], -1, p)
-            echelon.append((piv, [x * inv % p for x in v]))
-            rows.append(w)
-            if rec(k + 1):
+            if k == n - 1:
                 return True
-            rows.pop()
-            echelon.pop()
+            child = spans.get((span, wp))
+            if child is None:
+                child = spans[span, wp] = span.union([
+                    tuple([(s + t * x) % p for s, x in zip(v, wp)])
+                    for v in span for t in range(1, p)])
+            nxt = tuple([tuple([(y + t * x) % q for y, x in zip(img, w)]) if t else img
+                         for img, t in zip(images[1:], later[k])])
+            if rec(k + 1, nxt, child):
+                return True
+        dead.add(key)
         return False
 
-    return rec(0)
+    zero = (0,) * n
+    return n == 0 or rec(0, (zero,) * n, frozenset([zero]))

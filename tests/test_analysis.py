@@ -392,17 +392,49 @@ def _brute_modular_iso(a, b, modulus):
 
 
 class TestModularIso:
+    # height-3 pairs (entries as in _tower) on which the scan revisits a
+    # failed state and answers from its memo, 2 to 336 times per call
+    MEMO_HIT_CASES = {
+        4: [((0, 2, -1), (0, 3, 0)), ((0, 0, -2), (2, -3, 3)), ((2, -3, 2), (2, 0, 2))],
+        9: [((3, 1, 3), (1, -1, -3)), ((0, 0, 2), (-3, -1, -3)), ((3, -3, 0), (2, -2, -2))],
+    }
+
     @pytest.mark.parametrize("modulus", [2, 3, 4, 5, 8, 9])
     def test_matches_brute_force_reference(self, modulus):
         rng = random.Random(1000 + modulus)
-        outcomes = set()
+        cases = []
         for n, count in ((2, 30), (3, 6 if modulus < 8 else 1)):
-            for _ in range(count):
-                a, b = rand_bott(rng, n, 3), rand_bott(rng, n, 3)
-                got = modular_iso_exists(a, b, modulus)
-                assert got == _brute_modular_iso(a, b, modulus), (a, b)
-                outcomes.add(got)
+            cases += [(rand_bott(rng, n, 3), rand_bott(rng, n, 3)) for _ in range(count)]
+        cases += [(BottMatrix(_tower(3, x)), BottMatrix(_tower(3, y)))
+                  for x, y in self.MEMO_HIT_CASES.get(modulus, ())]
+        outcomes = set()
+        for a, b in cases:
+            got = modular_iso_exists(a, b, modulus)
+            assert got == _brute_modular_iso(a, b, modulus), (a, b)
+            outcomes.add(got)
         assert outcomes == {True, False}
+
+    def test_pinned_verdicts(self):
+        # the 325 one-twist pairs of [-2,2]^2 at the moduli ring_isomorphic
+        # checks on them over Z (2 and 4), and 20 seeded height-3 pairs at
+        # moduli 2, 3, 4, 8 and 9; the digest was taken from the echelon-based
+        # scan that the span-set search replaced
+        vecs = list(product(range(-2, 3), repeat=2))
+        cases = [(BottMatrix.from_last_column(list(x)), BottMatrix.from_last_column(list(y)), m)
+                 for i, x in enumerate(vecs) for y in vecs[i:] for m in (2, 4)]
+        rng = random.Random(7)
+        for _ in range(20):
+            a, b = (BottMatrix(_tower(3, [rng.randint(-3, 3) for _ in range(3)]))
+                    for _ in range(2))
+            cases += [(a, b, m) for m in (2, 3, 4, 8, 9)]
+        lines = [repr((a, b, m, modular_iso_exists(a, b, m))) for a, b, m in cases]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "5afe05d90961eb465ed61e402c045a8774008f42a90035d048eb8a0dadf8bd0c"
+
+    @pytest.mark.parametrize("modulus", [4.0, True, "4"])
+    def test_non_integer_modulus_rejected(self, modulus):
+        with pytest.raises(TypeError, match="modulus: entry"):
+            modular_iso_exists(HIRZ_1, HIRZ_1, modulus)
 
     @pytest.mark.parametrize("modulus", [1, 0, -4])
     def test_modulus_below_two_rejected(self, modulus):
