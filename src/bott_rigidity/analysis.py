@@ -1,7 +1,8 @@
 """Twist minimization and graded ring isomorphism for Bott towers.
 
 Three questions are answered here. How many twisted stages does a tower
-really need (twist_number, reduced greedily by trivializing stages)?
+really need (twist_number, reduced greedily by trivializing stages and
+certified when it meets the square-zero-line lower bound)?
 What is the true minimum over every unit change of basis
 (complexity_oracle, a certified search that does not trust the greedy
 route)? And are two cohomology rings isomorphic as graded rings over the
@@ -56,26 +57,41 @@ class TwistReport:
     budget_exhausted: bool
 
 
+# Tallest tower on which twist_number(certify=True) runs complexity_oracle's
+# box search, which it needs only when the greedy count exceeds the line
+# lower bound; the search grows with the box size (2 bound + 1)**n.
+CERTIFY_N_MAX = 4
+
+
 def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
-                 certify: bool = False, bound: int = 2,
-                 certify_n_max: int = 5) -> TwistReport:
+                 certify: bool = False, bound: int = 2) -> TwistReport:
     """Greedy twist count: trivialize reducible stages until none remain.
 
     Each trivialization removes one nonzero column and never creates a new
-    one, so the loop terminates. With certify=True the result is checked
-    against the independent minimum found by complexity_oracle; towers
-    taller than certify_n_max skip the oracle and come back uncertified
-    with budget_exhausted set.
+    one, so the loop terminates. The count is an upper bound on the
+    minimum over unit changes of basis, and the moves compose to a basis
+    that attains it (moves._moved_basis).
+
+    With certify=True the count is compared with the line lower bound of
+    complexity_oracle, which takes time polynomial in the height. When
+    they are equal the count is certified with no search, and oracle is a
+    ComplexityReport whose witness is the composed basis, checked in
+    closed form. Otherwise complexity_oracle's box search decides, on
+    towers of height at most CERTIFY_N_MAX; taller towers come back
+    uncertified with budget_exhausted set and the bound report (value,
+    lower bound and composed basis) as oracle.
     """
     mode = CoeffMode(mode)
+    n = matrix.n
     cur = matrix
     moves = []
+    # row k: the k-th generator of cur in the generators of matrix
+    basis = [[int(i == k) for i in range(n)] for k in range(n)] if certify else None
     while True:
         m = find_reducible_stage(cur, mode)
         if m is None:
             break
-        # find_reducible_stage has just checked stage m
-        cur = _trivialized(cur, m, mode)
+        cur, basis = _trivialized(cur, m, mode, basis)
         moves.append({"stage": m, "matrix": cur.to_lists()})
     value = cur.twist_count()
     oracle = None
@@ -83,19 +99,66 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     exhausted = False
     if certify:
         _check_bound(bound)
-        if matrix.n > certify_n_max:
-            exhausted = True
-        else:
+        lower = _line_lower_bound(n, square_zero_lines(matrix), mode)
+        if lower < value and n <= CERTIFY_N_MAX:
             oracle = complexity_oracle(matrix, mode, bound=bound)
-            certified = oracle.certified and oracle.value == value
-            exhausted = not certified
+        else:
+            oracle = ComplexityReport(value=value, lower_bound=lower,
+                                      witness=_basis_witness(matrix, cur, basis, mode),
+                                      mode=mode)
+        certified = oracle.certified and oracle.value == value
+        exhausted = not certified
     return TwistReport(twist=value, witness_moves=tuple(moves), final_matrix=cur,
                        certified_minimal=certified, oracle=oracle,
                        budget_exhausted=exhausted)
 
 
+def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode) -> dict:
+    """The witness of a basis presenting final inside matrix's ring, checked.
+
+    Row k of basis is final's k-th generator y_k in matrix's generators.
+    Each relation y_k^2 = f_k y_k, with f_k read off column k of final, is
+    checked in closed form, and the determinant must be a unit. The rows
+    are then put in the shape complexity_oracle returns: square-zero rows
+    first, then the twisted rows in stage order, each with the
+    coefficients of its twist form in the reordered rows.
+    """
+    n = matrix.n
+    cols = [final.column(k) for k in range(n)]
+    for y, col in zip(basis, cols):
+        u = [sum(c * r[x] for c, r in zip(col, basis) if c) for x in range(n)]
+        if line_square_pairs(matrix, y) != line_product_pairs(matrix, u, y):
+            raise AssertionError("composed basis fails a relation")
+    order = [k for k in range(n) if not any(cols[k])]
+    need = len(order)
+    order += [k for k in range(n) if any(cols[k])]
+    pos = {k: p for p, k in enumerate(order)}
+    twist_rows = []
+    for k in order[need:]:
+        coeffs = [0] * n
+        for i, c in enumerate(cols[k]):
+            coeffs[pos[i]] = c
+        twist_rows.append(coeffs)
+    rows = [basis[k] for k in order]
+    det = det_fraction(rows)
+    if not mode.is_unit(det):
+        raise AssertionError("composed basis determinant is not a unit")
+    return {"basis": rows, "zero_rows": need, "twist_coefficients": twist_rows, "det": det}
+
+
 @dataclass
 class ComplexityReport:
+    """Minimal twist count over unit changes of basis, with its evidence.
+
+    value is attained by witness; lower_bound is the line lower bound, and
+    certified means the two meet. witness is a dict: "basis" lists the
+    rows of the change of basis, the "zero_rows" square-zero rows first;
+    "twist_coefficients" gives, for each later (twisted) row in order, the
+    coefficients of its twist form in the basis rows; "det" is the unit
+    determinant of the basis. complexity_oracle finds the basis by search;
+    twist_number(certify=True) composes it from the greedy moves.
+    """
+
     value: int
     lower_bound: int
     witness: dict | None
@@ -104,6 +167,35 @@ class ComplexityReport:
     @property
     def certified(self) -> bool:
         return self.value == self.lower_bound
+
+
+def _line_lower_bound(n: int, lines, mode: CoeffMode) -> int:
+    """n minus the largest number of the lines extending to a unit basis.
+
+    Generators with zero twist form square to zero, so they lie on the
+    square-zero lines, and lines extend to a unit basis exactly when the
+    gcd of their maximal minors is a unit. A presentation therefore has
+    at least this many twisted generators.
+
+    The largest such subset is read off in closed form. square_zero_lines
+    gives at most one line per top index, with top entry 1 or 2, so any
+    subset is in echelon form: it is independent over Q, and its minor on
+    the top indices is a power of 2, which the gcd of its maximal minors
+    divides. Over Q every subset extends. Over Z and Z(2) that gcd is a
+    unit exactly when it is odd, i.e. when the subset is independent mod
+    2, so the largest subset has the rank mod 2 of all the lines.
+    """
+    if mode.is_field:
+        return n - len(lines)
+    # echelon basis mod 2: rows as bit masks, keyed by their top bit
+    pivots = {}
+    for line in lines:
+        v = sum(1 << i for i, x in enumerate(line) if x % 2)
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return n - len(pivots)
 
 
 def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
@@ -127,13 +219,7 @@ def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     _check_bound(bound)
     n = matrix.n
     lines = square_zero_lines(matrix)
-    unit = mode.is_unit
-    best = 0
-    for k in range(len(lines), 0, -1):
-        if any(unit(maximal_minors_gcd(sub)) for sub in combinations(lines, k)):
-            best = k
-            break
-    lower = n - best
+    lower = _line_lower_bound(n, lines, mode)
     pool = primitive_rows_box(n, bound)
     for s in range(lower, n + 1):
         witness = _presentation_search(matrix, mode, lines, pool, s)

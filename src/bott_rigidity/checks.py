@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
-from .analysis import ring_isomorphic, twist_number
+from .analysis import complexity_oracle, ring_isomorphic, twist_number
 from .core import (
     BottMatrix,
     BottRing,
@@ -296,10 +296,12 @@ def _check_twist_vs_oracle(rng):
             BottMatrix([[0, 1, 1], [0, 0, 0], [0, 0, 0]])]
     mats += [rand_bott(rng, 3) for _ in range(10)]
     for mat in mats:
+        # twist_number certifies by the line bound; the search checks it
         report = twist_number(mat, certify=True, bound=2)
-        if not report.certified_minimal:
-            value = report.oracle.value if report.oracle else None
-            return False, f"greedy {report.twist} vs oracle {value} on {mat.to_lists()}"
+        oracle = complexity_oracle(mat, bound=2)
+        if not (report.certified_minimal and oracle.certified
+                and oracle.value == report.twist):
+            return False, f"greedy {report.twist} vs oracle {oracle.value} on {mat.to_lists()}"
     return True, f"{len(mats)} towers certified"
 
 

@@ -1,17 +1,20 @@
 """Command-line front end.
 
 Subcommands
-  twist      greedy twist number of an upper-triangular matrix, with
-             certification against the exhaustive minimum when feasible
+  twist      greedy twist number of an upper-triangular matrix, certified
+             by the square-zero-line lower bound when the two meet, else
+             by a box search on towers up to height CERTIFY_N_MAX
   equiv      equivalence test for two one-twist vectors
   classify   enumerate a box of one-twist vectors and partition it
   recognize  decide whether a characteristic matrix is a Bott tower
   selftest   seeded desk-scale property checks across every module
 
 Exit codes: 0 affirmative or success, 1 negative verdict or failed
-check, 2 malformed input, 3 budget exhausted (certification gap or a
-size guard). Inputs are UTF-8 JSON files. Output is byte-stable for a
-fixed command line: JSON keys are sorted and randomness is seeded.
+check, 2 malformed input, 3 budget exhausted (a size guard, or under
+twist --certified a greedy count above the line bound that the box
+search did not confirm or, above height CERTIFY_N_MAX, did not run).
+Inputs are UTF-8 JSON files. Output is byte-stable for a fixed command
+line: JSON keys are sorted and randomness is seeded.
 """
 
 from __future__ import annotations
@@ -24,14 +27,13 @@ import random
 import sys
 from itertools import product
 
-from .analysis import twist_number
+from .analysis import CERTIFY_N_MAX, twist_number
 from .checks import SELFTEST_CHECKS
 from .core import BottMatrix, CoeffMode, integer_entries
 from .onetwist import classify, diffeo_equivalent, pontrjagin_invariant
 from .quasitoric import _recognition, _reordered_bott
 
 CLASSIFY_GUARD = 200_000
-CERTIFY_N_MAX = 4
 
 
 class InputError(ValueError):
@@ -116,22 +118,20 @@ def cmd_twist(args) -> int:
     if args.bound < 1:
         raise InputError("--bound must be at least 1 for twist")
     matrix = _load_bott_matrix(args.matrix_file)
-    report = twist_number(matrix, args.ring, certify=True,
-                          bound=args.bound, certify_n_max=CERTIFY_N_MAX)
-    oracle = None
-    if report.oracle is not None:
-        oracle = {
-            "value": report.oracle.value,
-            "lower_bound": report.oracle.lower_bound,
-            "certified": report.oracle.certified,
-        }
+    report = twist_number(matrix, args.ring, certify=True, bound=args.bound)
+    # certify=True always sets the oracle report
+    oracle = report.oracle
     payload = {
         "twist": report.twist,
         "certified": report.certified_minimal,
         "budget_exhausted": report.budget_exhausted,
         "moves": list(report.witness_moves),
         "final_matrix": report.final_matrix.to_lists(),
-        "oracle": oracle,
+        "oracle": {
+            "value": oracle.value,
+            "lower_bound": oracle.lower_bound,
+            "certified": oracle.certified,
+        },
     }
     _emit(payload, args.output_format)
     if args.certified and not report.certified_minimal:
@@ -253,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", choices=[m.value for m in CoeffMode], default="z",
                    help="coefficient ring (default z)")
     p.add_argument("--certified", action="store_true",
-                   help="exit 3 unless minimality was certified")
+                   help="exit 3 unless minimality was certified (the box search "
+                        f"behind an unmet line bound runs up to height {CERTIFY_N_MAX})")
 
     p = sub.add_parser("equiv", parents=[common],
                        help="equivalence of two one-twist vectors")

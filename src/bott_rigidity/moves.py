@@ -10,9 +10,6 @@ the later columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 from .core import BottMatrix, CoeffMode, integer_entries
 from .quadratic import line_product_pairs, line_square_pairs
 
@@ -123,33 +120,59 @@ def trivialize_stage(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffMode.INT
     mode = CoeffMode(mode)
     if matrix.is_zero_column(m) or not stage_fibration_trivial(matrix, m, mode):
         return None
-    return _trivialized(matrix, m, mode)
+    return _trivialized(matrix, m, mode)[0]
 
 
-def _trivialized(matrix: BottMatrix, m: int, mode: CoeffMode) -> BottMatrix:
-    """The rewrite of trivialize_stage, for a stage the caller has already checked."""
+def _trivialized(matrix: BottMatrix, m: int, mode: CoeffMode, basis=None):
+    """The rewrite of trivialize_stage, for a stage the caller has already checked.
+
+    Returns (rewritten matrix, basis'). Row k of basis, when given, is the
+    k-th generator of matrix in some fixed generators; basis' is then the
+    same for the rewritten matrix (_moved_basis), and None otherwise.
+    """
     n = matrix.n
-    half = [Fraction(c, 2) for c in matrix.column(m)]
-    rows = [[Fraction(matrix.entry(i, j)) for j in range(n)] for i in range(n)]
+    col = matrix.column(m)
+    # twice the rewritten entries, so the half-shift stays integral
+    twice = [[2 * x for x in row] for row in matrix.rows]
     for i in range(m):
-        rows[i][m] = Fraction(0)
+        twice[i][m] = 0
     for j in range(m + 1, n):
-        cjm = matrix.entry(m, j)
-        if cjm == 0:
-            continue
-        for i in range(m):
-            rows[i][j] += cjm * half[i]
-    denom = lcm(*(rows[i][j].denominator for i in range(n) for j in range(n)), 1)
-    if denom > 1:
-        if not mode.is_field:
-            raise AssertionError("even twist form produced fractional entries")
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] *= Fraction(denom) ** (j - i)
-    if any(rows[i][j].denominator != 1 for i in range(n) for j in range(n)):
-        raise AssertionError("denominator clearing left a fractional entry")
-    out = [[int(rows[i][j]) for j in range(n)] for i in range(n)]
-    return BottMatrix(out)
+        cmj = matrix.entry(m, j)
+        if cmj:
+            for i in range(m):
+                twice[i][j] += cmj * col[i]
+    if all(x % 2 == 0 for row in twice for x in row):
+        out, denom = BottMatrix([[x // 2 for x in row] for row in twice]), 1
+    elif not mode.is_field:
+        raise AssertionError("even twist form produced fractional entries")
+    else:
+        # entries are half-integers: multiplying the generator of stage i
+        # by 2**i multiplies entry (i, j) by 2**(j - i)
+        out = BottMatrix([[x * 2 ** (j - i - 1) if j > i else 0 for j, x in enumerate(row)]
+                          for i, row in enumerate(twice)])
+        denom = 2
+    if basis is not None:
+        basis = _moved_basis(basis, col, m, denom)
+    return out, basis
+
+
+def _moved_basis(basis, col, m: int, denom: int):
+    """The generators after the move on stage m with twist form col.
+
+    The move substitutes x_m - f_m/2 for the stage-m generator. An odd
+    coefficient of f_m (over Q only) first doubles every generator, which
+    keeps every twist form and keeps the rows integral. Clearing the
+    denominator denom then multiplies the generator of stage i by
+    denom**i.
+    """
+    scale = 1 if all(c % 2 == 0 for c in col) else 2
+    row = [scale * a for a in basis[m]]
+    for i, c in enumerate(col):
+        if c:
+            row = [a - scale * c // 2 * b for a, b in zip(row, basis[i])]
+    out = [[scale * a for a in r] for r in basis]
+    out[m] = row
+    return [[denom ** k * a for a in r] for k, r in enumerate(out)]
 
 
 def retwist(alpha, w):

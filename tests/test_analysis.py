@@ -7,7 +7,8 @@ full ring engine, never the shortcut formulas.
 
 import hashlib
 import random
-from itertools import product
+import time
+from itertools import combinations, product
 
 import pytest
 
@@ -26,7 +27,8 @@ from bott_rigidity import (
 )
 from bott_rigidity import analysis, moves
 from bott_rigidity.checks import even_block_forces_even_det, rand_bott
-from bott_rigidity.linalg import det_fraction, det_int
+from bott_rigidity.linalg import det_fraction, det_int, maximal_minors_gcd
+from bott_rigidity.quadratic import square_zero_lines
 
 
 def _tower(n, entries):
@@ -37,6 +39,18 @@ def _tower(n, entries):
         for i in range(j):
             rows[i][j] = next(it)
     return rows
+
+
+def _oracle_cases():
+    """Every height-3 tower over [-2,2] in every mode, then 60 seeded
+    height-4 towers over [-3,3], the modes taken in turn."""
+    modes = list(CoeffMode)
+    cases = [(_tower(3, e), mode) for mode in modes
+             for e in product(range(-2, 3), repeat=3)]
+    rng = random.Random(11)
+    for k in range(60):
+        cases.append((_tower(4, [rng.randint(-3, 3) for _ in range(6)]), modes[k % 3]))
+    return cases
 
 
 class TestFindReducibleStage:
@@ -97,11 +111,75 @@ class TestTwistNumber:
         rep = twist_number(BottMatrix([[0, 2], [0, 0]]), certify=True)
         assert rep.certified_minimal and not rep.budget_exhausted
         assert rep.oracle.value == 0
-        # towers above the certification height skip the oracle
-        rep = twist_number(BottMatrix.zeros(6), certify=True, certify_n_max=5)
-        assert rep.budget_exhausted and rep.oracle is None
-        rep = twist_number(BottMatrix.zeros(6), certify=True, certify_n_max=6)
-        assert rep.certified_minimal
+        # a tower above the search height is certified by the line bound
+        rep = twist_number(BottMatrix.zeros(6), certify=True)
+        assert rep.certified_minimal and not rep.budget_exhausted
+        assert (rep.oracle.value, rep.oracle.lower_bound) == (0, 0)
+        identity = [[int(i == k) for i in range(6)] for k in range(6)]
+        assert rep.oracle.witness == {"basis": identity, "zero_rows": 6,
+                                      "twist_coefficients": [], "det": 1}
+
+    def test_search_fallback_and_its_height_guard(self, monkeypatch):
+        # no tower is known whose greedy count exceeds the line bound, so
+        # the bound twist_number reads (the first one computed) is lowered
+        # by one; complexity_oracle then computes the true bound
+        real_bound, real_oracle = analysis._line_lower_bound, analysis.complexity_oracle
+        bounds, searched = [], []
+
+        def lowered(n, lines, mode):
+            bounds.append(n)
+            return real_bound(n, lines, mode) - (len(bounds) == 1)
+
+        def counting(matrix, *args, **kwargs):
+            searched.append(matrix.n)
+            return real_oracle(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_line_lower_bound", lowered)
+        monkeypatch.setattr(analysis, "complexity_oracle", counting)
+        rep = twist_number(BottMatrix([[0, 1, 1], [0, 0, -2], [0, 0, 0]]), certify=True)
+        assert searched == [3] and bounds == [3, 3]
+        assert rep.certified_minimal and not rep.budget_exhausted
+        assert (rep.twist, rep.oracle.value, rep.oracle.lower_bound) == (2, 2, 2)
+        # above the height guard the search never runs
+        bounds.clear()
+        tall = BottMatrix.from_last_column([1] + [0] * (analysis.CERTIFY_N_MAX - 1))
+        rep = twist_number(tall, certify=True)
+        assert searched == [3] and bounds == [tall.n]
+        assert rep.budget_exhausted and not rep.certified_minimal
+        assert (rep.twist, rep.oracle.value, rep.oracle.lower_bound) == (1, 1, 0)
+        assert not rep.oracle.certified
+
+    @pytest.mark.parametrize("mode", [CoeffMode.INTEGER, CoeffMode.TWO_LOCAL])
+    def test_line_bound_is_polynomial_in_height(self, mode, monkeypatch):
+        # row 0 all ones: e_0 and the n - 1 lines 2 e_j - e_0 square to
+        # zero, and every pair of them has maximal-minor gcd 2, so a scan
+        # over line subsets would try 2**16 - 17 of them before k = 1
+        n = 16
+        mat = BottMatrix([[int(i == 0 < j) for j in range(n)] for i in range(n)])
+        assert len(square_zero_lines(mat)) == n
+        minors = []
+        monkeypatch.setattr(analysis, "maximal_minors_gcd",
+                            lambda rows: minors.append(rows) or maximal_minors_gcd(rows))
+        start = time.process_time()
+        rep = twist_number(mat, mode, certify=True)
+        assert time.process_time() - start < 1.0
+        assert rep.certified_minimal and not rep.budget_exhausted
+        assert (rep.twist, rep.oracle.lower_bound) == (n - 1, n - 1)
+        assert minors == []
+
+    def test_tall_towers_certify_without_search(self, monkeypatch):
+        searched = []
+        monkeypatch.setattr(analysis, "complexity_oracle",
+                            lambda *args, **kwargs: searched.append(args))
+        rng = random.Random(58)
+        for n in range(5, 9):
+            for mode in CoeffMode:
+                for _ in range(10):
+                    mat = rand_bott(rng, n, rng.randint(1, 3))
+                    rep = twist_number(mat, mode, certify=True)
+                    assert rep.certified_minimal and not rep.budget_exhausted
+                    assert rep.oracle.value == rep.oracle.lower_bound == rep.twist
+        assert searched == []
 
 
 class TestComplexityOracle:
@@ -135,22 +213,51 @@ class TestComplexityOracle:
             twist_number(mat, certify=True, bound=bound)
 
     def test_pinned_values_and_witnesses(self):
-        # every height-3 tower over [-2,2] in every mode, then 60 seeded
-        # height-4 towers over [-3,3]: the digest pins each value, lower
-        # bound and witness basis, so pool order and solve reuse are fixed
-        modes = list(CoeffMode)
-        cases = [(_tower(3, e), mode) for mode in modes
-                 for e in product(range(-2, 3), repeat=3)]
-        rng = random.Random(11)
-        for k in range(60):
-            cases.append((_tower(4, [rng.randint(-3, 3) for _ in range(6)]), modes[k % 3]))
+        # the digest pins each value, lower bound and witness basis, so
+        # pool order and solve reuse are fixed
         lines = []
-        for rows, mode in cases:
+        for rows, mode in _oracle_cases():
             rep = complexity_oracle(BottMatrix(rows), mode, bound=2)
             lines.append(repr((rows, mode.value, rep.value, rep.lower_bound,
                                rep.certified, rep.witness)))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "137b650f79895f801d419064ad37f6b38192a2d81be6f11fb7fc3c6f45e7a92a"
+
+    def test_bound_certificate_matches_search(self):
+        # the certificate twist_number composes from its moves agrees with
+        # the search, and its basis replays through the ring engine
+        for rows, mode in _oracle_cases():
+            mat = BottMatrix(rows)
+            search = complexity_oracle(mat, mode, bound=2)
+            rep = twist_number(mat, mode, certify=True, bound=2)
+            assert rep.certified_minimal
+            assert (rep.oracle.value, rep.oracle.lower_bound) == (search.value,
+                                                                  search.lower_bound)
+            w = rep.oracle.witness
+            need, n = w["zero_rows"], mat.n
+            assert need == n - rep.twist == len(w["basis"]) - len(w["twist_coefficients"])
+            target = [[0] * n for _ in range(n)]
+            for r, coeffs in enumerate(w["twist_coefficients"]):
+                for i, c in enumerate(coeffs):
+                    target[i][need + r] = c
+            replayed = analysis._verified_witness(mat, BottMatrix(target), w["basis"],
+                                                  mode, "second_into_first")
+            assert replayed["det"] == w["det"]
+
+    def test_line_bound_matches_subset_definition(self):
+        # the closed form against its definition: n minus the largest
+        # number of lines whose maximal minors have a unit gcd
+        cases = [(BottMatrix(rows), mode) for rows, mode in _oracle_cases()]
+        for n in (1, 5):
+            cases += [(BottMatrix.zeros(n), mode) for mode in CoeffMode]
+        ones = BottMatrix([[int(i == 0 < j) for j in range(6)] for i in range(6)])
+        cases += [(ones, mode) for mode in CoeffMode]
+        for mat, mode in cases:
+            lines = square_zero_lines(mat)
+            sizes = [k for k in range(len(lines) + 1)
+                     if any(mode.is_unit(maximal_minors_gcd(list(sub)))
+                            for sub in combinations(lines, k))]
+            assert analysis._line_lower_bound(mat.n, lines, mode) == mat.n - max(sizes)
 
     def test_greedy_matches_oracle_exhaustively_height_two(self):
         for a in range(-3, 4):

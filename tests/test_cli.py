@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from bott_rigidity import quasitoric
+from bott_rigidity import analysis, quasitoric
 from bott_rigidity.checks import cycle_matrix
 from bott_rigidity.cli import CLASSIFY_GUARD, main
 from bott_rigidity.linalg import det_int
@@ -52,14 +52,26 @@ class TestTwist:
         payload = json.loads(out)
         assert payload["twist"] == 1 and payload["certified"] is True
 
-    def test_tall_tower_exhausts_budget(self, tmp_path, capsys):
+    def test_tall_tower_exhausts_budget(self, tmp_path, capsys, monkeypatch):
+        # a tower above the search height is certified by the line bound
         path = write_json(tmp_path, "m.json",
                           [[0] * 6 for _ in range(6)])
+        rc, out, _ = run(capsys, ["twist", path, "--certified"])
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["budget_exhausted"] is False and payload["certified"] is True
+        assert payload["oracle"] == {"certified": True, "lower_bound": 0, "value": 0}
+        # the budget runs out only when the greedy count exceeds the bound
+        # above that height; no known tower does, so the bound is lowered
+        real = analysis._line_lower_bound
+        monkeypatch.setattr(analysis, "_line_lower_bound",
+                            lambda n, lines, mode: real(n, lines, mode) - 1)
+        path = write_json(tmp_path, "t.json", [[0] * 5 + [1]] + [[0] * 6 for _ in range(5)])
         rc, out, _ = run(capsys, ["twist", path])
         assert rc == 0
         payload = json.loads(out)
-        assert payload["budget_exhausted"] is True
-        assert payload["oracle"] is None
+        assert payload["budget_exhausted"] is True and payload["certified"] is False
+        assert payload["oracle"] == {"certified": False, "lower_bound": 0, "value": 1}
         rc, out, _ = run(capsys, ["twist", path, "--certified"])
         assert rc == 3
 
@@ -124,13 +136,13 @@ class TestTwist:
         for (ring, fmt), want in self.PINNED.items():
             rc, out, err = run(capsys, ["twist", path, "--ring", ring, "--format", fmt])
             assert (rc, err, sha256(out)) == (0, "", want), (ring, fmt)
-        # a tower above the certification height has a null oracle
+        # a tower above the search height is certified by the line bound
         path = write_json(tmp_path, "z.json", [[0] * 5 for _ in range(5)])
         rc, out, err = run(capsys, ["twist", path, "--format", "csv"])
         assert (rc, err) == (0, "")
-        assert "oracle,null\n" in out
+        assert 'oracle,"{""certified"":true,""lower_bound"":0,""value"":0}"\n' in out
         assert sha256(out) == (
-            "8f566ff9e7d3aaf4c369638015900241937de1adc88924740ee68f23c7b130cf")
+            "337b1e512d123f4201ced4b9fce1a24bd42b55c931ef93530592c264f1c25352")
 
 
 class TestEquiv:
