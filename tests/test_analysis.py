@@ -8,6 +8,7 @@ full ring engine, never the shortcut formulas.
 import hashlib
 import random
 import time
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -27,7 +28,7 @@ from bott_rigidity import (
 )
 from bott_rigidity import analysis, moves
 from bott_rigidity.checks import even_block_forces_even_det, rand_bott
-from bott_rigidity.linalg import det_fraction, det_int, maximal_minors_gcd
+from bott_rigidity.linalg import det_fraction, det_int, maximal_minors_gcd, rank_fraction
 from bott_rigidity.quadratic import square_zero_lines
 
 
@@ -422,6 +423,67 @@ class TestRingIsomorphic:
             assert vz is not None and vz == v2
 
 
+class TestIsoModuli:
+    @staticmethod
+    def _full_factorization_moduli(a, b):
+        n = a.n
+        odd = set()
+        for t in (a, b):
+            for j in range(n):
+                for i in range(j):
+                    value, d = abs(t.entry(i, j)), 2
+                    while value > 1:
+                        if d * d > value:
+                            odd.add(value)
+                            break
+                        while value % d == 0:
+                            odd.add(d)
+                            value //= d
+                        d += 1
+        odd.discard(2)
+        moduli = sorted(q for p in odd for q in (p, p * p) if q ** n <= analysis.ODD_SCAN_LIMIT)
+        return (2, 4, *moduli), (8,)
+
+    def test_bounded_factoring_matches_full_factorization(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            bound = rng.choice((60, 10 ** 6))
+            a, b = rand_bott(rng, n, bound), rand_bott(rng, n, bound)
+            assert analysis._iso_moduli(a, b, CoeffMode.INTEGER) == \
+                self._full_factorization_moduli(a, b), (a, b)
+
+    def test_large_prime_entry_is_not_factored(self):
+        # 2^61 - 1 is prime; full trial division would take ~1.5e9 steps
+        a = BottMatrix.from_last_column([2 ** 61 - 1])
+        b = BottMatrix.from_last_column([1])
+        start = time.process_time()
+        assert analysis._iso_moduli(a, b, CoeffMode.INTEGER) == ((2, 4), (8,))
+        assert time.process_time() - start < 1.0
+
+
+class TestEchelonRemainder:
+    def test_remainder_vanishes_exactly_on_the_span(self):
+        # pushing each independent row keeps the echelon's span equal to
+        # that of the rows, so the remainder test agrees with the rank
+        rng = random.Random(83)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows, echelon = [], []
+            for _ in range(rng.randint(1, n + 2)):
+                w = [rng.choice((0, 0, 1, -1, 2, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+                     for _ in range(n)]
+                if rows and rng.random() < 0.3:
+                    w = [sum(rng.randint(-2, 2) * r[c] for r in rows) for c in range(n)]
+                got = analysis._echelon_remainder(echelon, w)
+                assert (got is not None) == (rank_fraction(rows + [w]) == len(rows) + 1)
+                if got is not None:
+                    piv, r = got
+                    assert r[piv] != 0 and all(r[p] == 0 for p, _ in echelon)
+                    rows.append(w)
+                    echelon.append(got)
+
+
 class TestModeValues:
     def test_value_string_means_its_member(self):
         # "q" used to fail the identity tests and be treated as Z, giving a
@@ -506,20 +568,81 @@ class TestModularIso:
         9: [((3, 1, 3), (1, -1, -3)), ((0, 0, 2), (-3, -1, -3)), ((3, -3, 0), (2, -2, -2))],
     }
 
+    # height-3 pairs whose square-zero counts differ, so the scan answers
+    # False before any search
+    COUNT_CASES = {
+        3: [((3, -3, 2), (0, -1, 2)), ((3, -2, 1), (-3, -1, -3))],
+        9: [((-2, 1, 3), (3, 3, -3)), ((-1, -2, 2), (-2, 3, 0))],
+    }
+    # height-3 pairs with equal counts whose lexicographically first row 0
+    # (first square-zero row nonzero mod 3) has first unit entry 2, so the
+    # one-row-per-unit-orbit rule skips it
+    ORBIT_CASES = {
+        9: [((-3, 0, -3), (3, 3, -3)), ((-1, 0, -3), (3, 2, 0)), ((1, 0, -3), (-1, 3, 0))],
+    }
+
     @pytest.mark.parametrize("modulus", [2, 3, 4, 5, 8, 9])
     def test_matches_brute_force_reference(self, modulus):
         rng = random.Random(1000 + modulus)
         cases = []
         for n, count in ((2, 30), (3, 6 if modulus < 8 else 1)):
             cases += [(rand_bott(rng, n, 3), rand_bott(rng, n, 3)) for _ in range(count)]
-        cases += [(BottMatrix(_tower(3, x)), BottMatrix(_tower(3, y)))
-                  for x, y in self.MEMO_HIT_CASES.get(modulus, ())]
+        for table in (self.MEMO_HIT_CASES, self.COUNT_CASES, self.ORBIT_CASES):
+            cases += [(BottMatrix(_tower(3, x)), BottMatrix(_tower(3, y)))
+                      for x, y in table.get(modulus, ())]
         outcomes = set()
         for a, b in cases:
             got = modular_iso_exists(a, b, modulus)
             assert got == _brute_modular_iso(a, b, modulus), (a, b)
             outcomes.add(got)
         assert outcomes == {True, False}
+
+    def test_reduction_cases_exercise_the_reductions(self):
+        def square_zero(t, q):
+            return [w for w in product(range(q), repeat=t.n)
+                    if all((2 * w[i] * w[j] + t.entry(i, j) * w[j] * w[j]) % q == 0
+                           for j in range(t.n) for i in range(j))]
+
+        for q, pairs in self.COUNT_CASES.items():
+            for x, y in pairs:
+                a, b = BottMatrix(_tower(3, x)), BottMatrix(_tower(3, y))
+                assert len(square_zero(a, q)) != len(square_zero(b, q))
+        for q, pairs in self.ORBIT_CASES.items():
+            for x, y in pairs:
+                a, b = BottMatrix(_tower(3, x)), BottMatrix(_tower(3, y))
+                zeros_a = square_zero(a, q)
+                assert len(zeros_a) == len(square_zero(b, q))
+                first = next(w for w in zeros_a if any(v % 3 for v in w))
+                assert next(v for v in first if v % 3) != 1
+                assert modular_iso_exists(a, b, q)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 8, 9])
+    def test_symmetric_in_the_two_towers(self, modulus):
+        # an isomorphism mod q has an inverse, so the scan may not depend
+        # on which tower hosts it
+        rng = random.Random(2000 + modulus)
+        outcomes = set()
+        for n, count in ((2, 40), (3, 30 if modulus < 8 else 10)):
+            for _ in range(count):
+                a, b = rand_bott(rng, n, 3), rand_bott(rng, n, 3)
+                got = modular_iso_exists(a, b, modulus)
+                assert got == modular_iso_exists(b, a, modulus), (a, b)
+                outcomes.add(got)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("x, y, modulus", [
+        ((1, 3, 3), (3, 3, 3), 9),
+        ((1, 3, 3), (3, 3, 3), 27),
+        ((1, 5, 5), (5, 5, 5), 25),
+        ((1, 1, 1, 3), (1, 1, 1, 1), 9),
+    ])
+    def test_odd_prime_power_scans_outside_the_limit_obstruct(self, x, y, modulus):
+        # inequivalent one-twist pairs whose modulus ring_isomorphic leaves
+        # out (q^n > ODD_SCAN_LIMIT), though the scan itself settles them
+        a, b = BottMatrix.from_last_column(list(x)), BottMatrix.from_last_column(list(y))
+        assert modulus ** a.n > analysis.ODD_SCAN_LIMIT
+        assert modular_iso_exists(a, b, modulus) is False
+        assert modular_iso_exists(b, a, modulus) is False
 
     def test_pinned_verdicts(self):
         # the 325 one-twist pairs of [-2,2]^2 at the moduli ring_isomorphic
