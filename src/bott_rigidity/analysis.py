@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .core import BottMatrix, BottRing, CoeffMode, integer_entries
@@ -469,20 +470,15 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode, lines)
 
     def candidates(k):
         u = tuple(sum(target.entry(i, k) * rows[i][c] for i in range(k)) for c in range(n))
+        if k < n - 1:
+            return _sampled_rows(host, u, tuple(map(type, u)), mode)
         sols = twisted_row_solutions(host, u, mode, lines=lines)
         cands = list(sols.finite)
-        if k < n - 1:
-            for w0, step in sols.families:
-                for t in range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1):
-                    w = tuple(a + t * b for a, b in zip(w0, step))
-                    if any(w) and w not in cands:
-                        cands.append(w)
-        else:
-            for fam in sols.families:
-                for w in _final_family_rows(rows, fam, mode):
-                    if w not in cands:
-                        cands.append(w)
-        cands.sort(key=lambda w: (sum(map(abs, w)), w))
+        for fam in sols.families:
+            for w in _final_family_rows(rows, fam, mode):
+                if w not in cands:
+                    cands.append(w)
+        cands.sort(key=_row_order)
         return cands
 
     def rec(k):
@@ -503,6 +499,37 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode, lines)
     if rec(0):
         return [tuple(r) for r in rows]
     return None
+
+
+def _row_order(w):
+    return sum(map(abs, w)), w
+
+
+# Candidate lists of the witness search kept below its last row, as
+# (host, u, entry types of u, mode) keys.
+_SAMPLED_ROWS_CACHED = 256
+
+
+@lru_cache(maxsize=_SAMPLED_ROWS_CACHED)
+def _sampled_rows(host: BottMatrix, u: tuple, types: tuple, mode: CoeffMode) -> tuple:
+    """The candidates of _dfs_direction for a row above the last, in search order.
+
+    They are the finite solutions of w^2 = u w and the members of each
+    affine family at the parameters |t| <= FAMILY_SAMPLE, sorted. They
+    depend on host, u and mode only, so they are cached. types, the type
+    of each entry of u, is part of the key: an int and an equal Fraction
+    compare and hash alike, and without it a call could be answered from
+    rows built for the other, whose entry types the witnesses carry.
+    """
+    sols = twisted_row_solutions(host, u, mode)
+    cands = list(sols.finite)
+    for w0, step in sols.families:
+        for t in range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1):
+            w = tuple(a + t * b for a, b in zip(w0, step))
+            if any(w) and w not in cands:
+                cands.append(w)
+    cands.sort(key=_row_order)
+    return tuple(cands)
 
 
 def _echelon_remainder(echelon, w):
@@ -563,10 +590,18 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     a's ring mod q, where u is the image of b's twist form f_k under the
     rows already placed. The relation for the pair (i, j) is a quadratic
     in w_j whose coefficients involve only w_i and u, so the candidates
-    are built coordinate by coordinate from a lazily filled table of roots
-    mod q. They come out in the lexicographic order of
-    product(range(q), repeat=n), are memoized by u and carry their
-    reduction mod p.
+    are built coordinate by coordinate from a table of roots mod q. They
+    come out in the lexicographic order of product(range(q), repeat=n),
+    are memoized by u and carry their reduction mod p.
+
+    What depends on one tower alone is memoized across calls, in the
+    _ScanTables of a tower, keyed on (q, tower mod q) and kept for the
+    _SCAN_TABLES_CACHED most recently used keys: the reduced matrix, the
+    square-zero set and the row-0 list below, and the candidate lists,
+    memoized by u. The root tables are kept per (q, c_ij) and the
+    (w, w mod p) pairs are shared per q. The cached lists are tuples, so
+    no call can change what another reads. The failed-state memo, which
+    depends on b, and the child spans stay per call.
 
     A determinant is a unit mod q exactly when it is nonzero mod p. The
     search therefore keeps the span mod p of the placed rows as the set of
@@ -592,7 +627,9 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     scans. Mod 4 the counts never differ (256 obstructed scans) while the
     passing scans take about 20 % longer. Mod 2 it settles all 168
     obstructed scans, but the passing scans, which every isomorphic pair
-    (the slowest calls) makes, also take about 20 % longer.
+    (the slowest calls) makes, also take about 20 % longer. Both sets
+    are cached, so the count costs two cache lookups once the towers have
+    been seen.
 
     One row 0 per unit orbit (q > 2). Scaling every row by a unit l maps
     solutions to solutions, since (l w)^2 = (l u)(l w) and l u is the
@@ -611,50 +648,23 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     n = a.n
     if n != b.n:
         return False
-    c = [[a.entry(i, j) % q for j in range(n)] for i in range(n)]
+    if n == 0:
+        return True
+    host = _scan_tables(q, _reduced(a, q))
+    if p > 2 and len(host.zeros) != len(_scan_tables(q, _reduced(b, q)).zeros):
+        return False
     # coefficients of row k in the twist forms of the later rows
     later = [[b.entry(k, j) % q for j in range(k + 1, n)] for k in range(n)]
-    roots: dict = {}
-    memo: dict = {}
+    candidates = host.candidates
     spans: dict = {}
     dead: set = set()
-
-    def solutions(c, u):
-        # pair (i, j): c_ij w_j^2 + (2 w_i - c_ij u_j - u_i) w_j - u_j w_i = 0,
-        # so the prefixes are extended one coordinate at a time
-        prefixes = [()]
-        for j in range(n):
-            uj = u[j]
-            longer = []
-            for w in prefixes:
-                xs = range(q)
-                for i in range(j):
-                    cij = c[i][j]
-                    key = (cij, (2 * w[i] - cij * uj - u[i]) % q, -uj * w[i] % q)
-                    r = roots.get(key)
-                    if r is None:
-                        _, lin, const = key
-                        r = roots[key] = [x for x in range(q)
-                                          if (x * (cij * x + lin) + const) % q == 0]
-                    xs = r if i == 0 else [x for x in xs if x in r]
-                    if not xs:
-                        break
-                longer += [w + (x,) for x in xs]
-            prefixes = longer
-        return prefixes
-
-    def candidates(u):
-        return [(w, tuple([x % p for x in w])) for w in solutions(c, u)]
 
     def rec(k, images, span):
         # images[k' - k] is the image of f_k' under the rows placed so far
         key = (images, span)
         if key in dead:
             return False
-        u = images[0]
-        if u not in memo:
-            memo[u] = candidates(u)
-        for w, wp in memo[u] if k else first:
+        for w, wp in candidates(images[0]) if k else host.first:
             if wp in span:
                 continue
             if k == n - 1:
@@ -671,17 +681,96 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
         dead.add(key)
         return False
 
-    if n == 0:
-        return True
     zero = (0,) * n
-    memo[zero] = candidates(zero)
-    if p > 2:
-        cb = [[b.entry(i, j) % q for j in range(n)] for i in range(n)]
-        if len(memo[zero]) != len(solutions(cb, zero)):
-            return False
-    first = memo[zero]
-    if q > 2:
-        # wp's first nonzero entry is 1 where w's first unit entry is
-        first = [(w, wp) for w, wp in first
-                 if next(filter(None, wp), 0) == 1 and w[wp.index(1)] == 1]
     return rec(0, (zero,) * n, frozenset([zero]))
+
+
+# Towers whose modular scan tables stay cached, as (q, tower mod q) keys.
+# The scans ring_isomorphic makes for the 1225 one-twist pairs of
+# [-3,3]^2 touch 57 of them.
+_SCAN_TABLES_CACHED = 256
+
+
+def _reduced(tower: BottMatrix, q: int) -> tuple:
+    return tuple(tuple([x % q for x in row]) for row in tower.rows)
+
+
+@lru_cache(maxsize=_SCAN_TABLES_CACHED)
+def _scan_tables(q: int, c: tuple) -> "_ScanTables":
+    return _ScanTables(q, c)
+
+
+class _ScanTables:
+    """The part of modular_iso_exists mod q that depends on one tower alone.
+
+    c is the tower mod q. zeros is its square-zero set, the candidates for
+    u = 0, and first the rows of zeros kept for row 0 (one per unit orbit
+    when q > 2). by_u memoizes candidates(u) and only ever grows. Every
+    list is a tuple of (w, w mod p) pairs, interned per q.
+    """
+
+    __slots__ = ("q", "p", "c", "by_u", "pairs", "zeros", "first")
+
+    def __init__(self, q: int, c: tuple):
+        self.q = q
+        self.p = p = _prime_of(q)
+        self.c = c
+        self.by_u: dict = {}
+        self.pairs = _row_pairs(q)
+        self.zeros = zeros = self.candidates((0,) * len(c))
+        if q > 2:
+            # wp's first nonzero entry is 1 where w's first unit entry is
+            zeros = tuple((w, wp) for w, wp in zeros
+                          if next(filter(None, wp), 0) == 1 and w[wp.index(1)] == 1)
+        self.first = zeros
+
+    def candidates(self, u: tuple) -> tuple:
+        """The (w, w mod p) with w^2 = u w mod q, in lexicographic order of w."""
+        rows = self.by_u.get(u)
+        if rows is None:
+            q, p, pairs = self.q, self.p, self.pairs
+            out = []
+            for w in _modular_rows(q, self.c, u):
+                pair = pairs.get(w)
+                if pair is None:
+                    pair = pairs[w] = (w, tuple([x % p for x in w]))
+                out.append(pair)
+            rows = self.by_u[u] = tuple(out)
+        return rows
+
+
+@lru_cache(maxsize=16)
+def _row_pairs(q: int) -> dict:
+    """The (w, w mod p) pairs of the scans mod q, keyed on w."""
+    return {}
+
+
+def _modular_rows(q: int, c: tuple, u: tuple) -> list:
+    """Every w with w^2 = u w mod q in the ring of c, in lexicographic order."""
+    # pair (i, j): c_ij w_j^2 + (2 w_i - c_ij u_j - u_i) w_j - u_j w_i = 0,
+    # so the prefixes are extended one coordinate at a time
+    prefixes = [()]
+    for j in range(len(c)):
+        uj = u[j]
+        tables = [_root_table(q, c[i][j]) for i in range(j)]
+        longer = []
+        for w in prefixes:
+            xs = range(q)
+            for i in range(j):
+                r = tables[i][(2 * w[i] - c[i][j] * uj - u[i]) % q][-uj * w[i] % q]
+                xs = r if i == 0 else [x for x in xs if x in r]
+                if not xs:
+                    break
+            longer += [w + (x,) for x in xs]
+        prefixes = longer
+    return prefixes
+
+
+@lru_cache(maxsize=64)
+def _root_table(q: int, cij: int) -> tuple:
+    """table[lin][const]: the x in range(q) with x (cij x + lin) + const = 0 mod q."""
+    table = [[[] for _ in range(q)] for _ in range(q)]
+    for lin, by_const in enumerate(table):
+        for x in range(q):
+            by_const[-x * (cij * x + lin) % q].append(x)
+    return tuple(tuple(map(tuple, by_const)) for by_const in table)

@@ -70,9 +70,19 @@ def square_zero_lines(matrix: BottMatrix) -> list[tuple[int, ...]]:
     by m (_pinned_line), and the direction is kept when its square really
     vanishes. Hence there is at most one line per index and at most n in
     total, the same set in integral, rational and 2-local coefficients.
+    The lines of the _LINES_CACHED most recently seen towers are kept.
     """
+    return list(_square_zero_lines(matrix))
+
+
+# Towers whose square-zero lines stay cached.
+_LINES_CACHED = 256
+
+
+@lru_cache(maxsize=_LINES_CACHED)
+def _square_zero_lines(matrix: BottMatrix) -> tuple[tuple[int, ...], ...]:
     lines = (_pinned_line(matrix, m) for m in range(matrix.n))
-    return [v for v in lines if not line_square_pairs(matrix, v)]
+    return tuple(v for v in lines if not line_square_pairs(matrix, v))
 
 
 def perfect_square_root(q: Fraction):
@@ -87,7 +97,20 @@ def perfect_square_root(q: Fraction):
 
 
 def divisors(x: int) -> list[int]:
-    x = abs(x)
+    """Positive divisors of x, ascending, by trial division up to sqrt|x|.
+
+    The divisors of the _DIVISORS_CACHED most recently seen |x| are kept,
+    because the witness search asks for the same few values many times.
+    """
+    return list(_divisors(abs(x)))
+
+
+# Absolute values whose divisors stay cached.
+_DIVISORS_CACHED = 1024
+
+
+@lru_cache(maxsize=_DIVISORS_CACHED)
+def _divisors(x: int) -> tuple[int, ...]:
     out = []
     d = 1
     while d * d <= x:
@@ -96,7 +119,7 @@ def divisors(x: int) -> list[int]:
             if d != x // d:
                 out.append(x // d)
         d += 1
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def _rational_roots(coeffs) -> list[Fraction]:
@@ -178,7 +201,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
     mode = CoeffMode(mode)
     n = matrix.n
     if lines is None:
-        lines = square_zero_lines(matrix)
+        lines = _square_zero_lines(matrix)
     s = line_square_pairs(matrix, u)
     finite = []
     families = []

@@ -26,7 +26,7 @@ from bott_rigidity import (
     trivialize_stage,
     twist_number,
 )
-from bott_rigidity import analysis, moves
+from bott_rigidity import analysis, moves, quadratic
 from bott_rigidity.checks import even_block_forces_even_det, rand_bott
 from bott_rigidity.linalg import det_fraction, det_int, maximal_minors_gcd, rank_fraction
 from bott_rigidity.quadratic import square_zero_lines
@@ -40,6 +40,14 @@ def _tower(n, entries):
         for i in range(j):
             rows[i][j] = next(it)
     return rows
+
+
+def _clear_caches():
+    """Empty every memo the package keeps across calls."""
+    for module in (analysis, quadratic):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
 
 
 def _oracle_cases():
@@ -414,6 +422,47 @@ class TestRingIsomorphic:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "9d29f387815ee79db66d0f736710344ac78b890ece90cc66ffb0463fd9afed28"
 
+    def test_answers_do_not_depend_on_the_caches(self):
+        # each call on empty caches, then every call again on warm caches
+        # in shuffled order; the report must not change in any mode
+        vecs = list(product(range(-2, 3), repeat=2))
+        cases = [(BottMatrix.from_last_column(list(x)), BottMatrix.from_last_column(list(y)), mode)
+                 for mode in CoeffMode for i, x in enumerate(vecs) for y in vecs[i:]]
+
+        def report(case):
+            rep = ring_isomorphic(*case)
+            return rep.isomorphic, rep.reason, rep.complete, rep.moduli_checked, repr(rep.witness)
+
+        cold = {}
+        for case in cases:
+            _clear_caches()
+            cold[case] = report(case)
+        random.Random(29).shuffle(cases)
+        for case in cases:
+            assert report(case) == cold[case], case
+
+    def test_large_prime_entry_search_is_fast(self):
+        # the witness search asks for the divisors of 10^10 + 19 (prime)
+        # 144 times; trial division to its square root on each took seconds
+        _clear_caches()
+        a = BottMatrix.from_last_column([1, 10 ** 10 + 19])
+        b = BottMatrix.from_last_column([1, 1])
+        start = time.process_time()
+        rep = ring_isomorphic(a, b)
+        assert time.process_time() - start < 1.0
+        assert rep.isomorphic is None and rep.moduli_checked == (2, 4, 8)
+
+    def test_sampled_rows_keyed_on_entry_types(self):
+        # Fraction(1) == 1 and both hash alike, but an int row and a
+        # Fraction row are different witnesses
+        _clear_caches()
+        host = BottMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+        for u in ((2, 0, 1), (Fraction(2), 0, Fraction(1))):
+            rows = analysis._sampled_rows(host, u, tuple(map(type, u)), CoeffMode.RATIONAL)
+            assert rows and isinstance(rows, tuple)
+        info = analysis._sampled_rows.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
     def test_modes_agree_on_small_corpus(self):
         for x, y in [((1,), (3,)), ((2,), (0,)), ((1,), (2,)), ((1, 1), (1, 2))]:
             a = BottMatrix.from_last_column(list(x))
@@ -629,6 +678,47 @@ class TestModularIso:
                 assert got == modular_iso_exists(b, a, modulus), (a, b)
                 outcomes.add(got)
         assert outcomes == {True, False}
+
+    def test_answers_do_not_depend_on_the_caches(self):
+        # every scan on empty caches, then again on warm caches in shuffled
+        # order, with both towers as host
+        rng = random.Random(3000)
+        pairs = [(rand_bott(rng, 3, 3), rand_bott(rng, 3, 3)) for _ in range(30)]
+        pairs += [(rand_bott(rng, 4, 3), rand_bott(rng, 4, 3)) for _ in range(10)]
+        pairs += [(a, a) for a, _ in pairs[-5:]]
+        cases = [(x, y, m) for a, b in pairs for x, y in ((a, b), (b, a))
+                 for m in (2, 3, 4, 8, 9)]
+        cold = {}
+        for case in cases:
+            _clear_caches()
+            cold[case] = modular_iso_exists(*case)
+        assert set(cold.values()) == {True, False}
+        rng.shuffle(cases)
+        for case in cases:
+            assert modular_iso_exists(*case) == cold[case], case
+
+    def test_tables_cache_is_bounded(self):
+        # more distinct (q, tower mod q) keys than the cache holds
+        _clear_caches()
+        size = analysis._SCAN_TABLES_CACHED
+        towers = [BottMatrix(_tower(3, e)) for e in product(range(9), repeat=3)][:size + 44]
+        for t in towers:
+            assert modular_iso_exists(t, t, 9)
+        info = analysis._scan_tables.cache_info()
+        assert info.maxsize == size and info.currsize == size
+        for t in towers[-size:]:
+            tables = analysis._scan_tables(9, analysis._reduced(t, 9))
+            assert isinstance(tables.c, tuple) and all(isinstance(r, tuple) for r in tables.c)
+            lists = [tables.zeros, tables.first, *tables.by_u.values()]
+            assert all(isinstance(rows, tuple) for rows in lists)
+            assert all(isinstance(w, tuple) and isinstance(wp, tuple)
+                       for rows in lists for w, wp in rows)
+        # the most recent keys were all still cached
+        assert analysis._scan_tables.cache_info().misses == info.misses
+        for module in (analysis, quadratic):
+            for fn in vars(module).values():
+                if hasattr(fn, "cache_info"):
+                    assert fn.cache_info().maxsize is not None, fn
 
     @pytest.mark.parametrize("x, y, modulus", [
         ((1, 3, 3), (3, 3, 3), 9),
