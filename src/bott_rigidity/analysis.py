@@ -59,15 +59,15 @@ class TwistReport:
     twist: int
     witness_moves: tuple
     final_matrix: BottMatrix
-    certified_minimal: bool
     oracle: "ComplexityReport | None"
-    budget_exhausted: bool
 
+    @property
+    def certified_minimal(self) -> bool:
+        return self.oracle is not None and self.oracle.certified
 
-# Tallest tower on which twist_number(certify=True) runs complexity_oracle's
-# box search, which it needs only when the greedy count exceeds the line
-# lower bound; the search grows with the box size (2 bound + 1)**n.
-CERTIFY_N_MAX = 4
+    @property
+    def budget_exhausted(self) -> bool:
+        return self.oracle is not None and not self.oracle.certified
 
 
 def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
@@ -79,14 +79,14 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     minimum over unit changes of basis, and the moves compose to a basis
     that attains it (moves._moved_basis).
 
-    With certify=True the count is compared with the line lower bound of
-    complexity_oracle, which takes time polynomial in the height. When
-    they are equal the count is certified with no search, and oracle is a
-    ComplexityReport whose witness is the composed basis, checked in
-    closed form. Otherwise complexity_oracle's box search decides, on
-    towers of height at most CERTIFY_N_MAX; taller towers come back
-    uncertified with budget_exhausted set and the bound report (value,
-    lower bound and composed basis) as oracle.
+    With certify=True, oracle is a ComplexityReport of the count, the line
+    lower bound of complexity_oracle (which takes time polynomial in the
+    height) and the composed basis, checked in closed form, as witness.
+    The count is certified when it meets the bound; otherwise the report
+    has budget_exhausted set. No search runs: complexity_oracle certifies
+    only a value that meets this same bound, so a search could never
+    certify a count above it, and no tower is known whose count exceeds
+    it. bound must be at least 1 but selects nothing.
     """
     mode = CoeffMode(mode)
     n = matrix.n
@@ -102,22 +102,12 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
         moves.append({"stage": m, "matrix": cur.to_lists()})
     value = cur.twist_count()
     oracle = None
-    certified = False
-    exhausted = False
     if certify:
         _check_bound(bound)
         lower = _line_lower_bound(n, square_zero_lines(matrix), mode)
-        if lower < value and n <= CERTIFY_N_MAX:
-            oracle = complexity_oracle(matrix, mode, bound=bound)
-        else:
-            oracle = ComplexityReport(value=value, lower_bound=lower,
-                                      witness=_basis_witness(matrix, cur, basis, mode),
-                                      mode=mode)
-        certified = oracle.certified and oracle.value == value
-        exhausted = not certified
-    return TwistReport(twist=value, witness_moves=tuple(moves), final_matrix=cur,
-                       certified_minimal=certified, oracle=oracle,
-                       budget_exhausted=exhausted)
+        oracle = ComplexityReport(value=value, lower_bound=lower,
+                                  witness=_basis_witness(matrix, cur, basis, mode), mode=mode)
+    return TwistReport(twist=value, witness_moves=tuple(moves), final_matrix=cur, oracle=oracle)
 
 
 def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode) -> dict:
@@ -162,8 +152,10 @@ class ComplexityReport:
     rows of the change of basis, the "zero_rows" square-zero rows first;
     "twist_coefficients" gives, for each later (twisted) row in order, the
     coefficients of its twist form in the basis rows; "det" is the unit
-    determinant of the basis. complexity_oracle finds the basis by search;
-    twist_number(certify=True) composes it from the greedy moves.
+    determinant of the basis. complexity_oracle finds the basis by search,
+    so value is the least count in its box. twist_number(certify=True)
+    composes the basis from the greedy moves, so value is the greedy
+    count, and only an upper bound when it is not certified.
     """
 
     value: int
@@ -415,9 +407,9 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
     report = obstructed(before)
     if report is not None:
         return report
-    for host, target, lines, direction in ((a, b, la, "second_into_first"),
-                                           (b, a, lb, "first_into_second")):
-        rows = _dfs_direction(host, target, mode, lines)
+    for host, target, direction in ((a, b, "second_into_first"),
+                                    (b, a, "first_into_second")):
+        rows = _dfs_direction(host, target, mode)
         if rows is not None:
             witness = _verified_witness(host, target, rows, mode, direction)
             return IsoReport(True, witness, "witness verified", mode, tuple(checked))
@@ -445,15 +437,15 @@ def _verified_witness(host, target, rows, mode, direction):
     return {"direction": direction, "rows": [list(r) for r in rows], "det": det}
 
 
-def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode, lines):
+def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
     """Search rows mapping target's generators into host's ring.
 
-    lines are host's square-zero lines. Returns the rows of a unit change
-    of basis, or None when none was found. Row k solves w^2 = u w for u
-    the image of target's twist form, drawn from twisted_row_solutions;
-    affine families below the last row are sampled at the parameters
-    |t| <= FAMILY_SAMPLE, and families reaching the last row are resolved
-    exactly through the linearity of the determinant in one row. None
+    Returns the rows of a unit change of basis, or None when none was
+    found. Row k solves w^2 = u w for u the image of target's twist form,
+    drawn from twisted_row_solutions; affine families below the last row
+    are sampled at the parameters |t| <= FAMILY_SAMPLE, and families
+    reaching the last row are resolved exactly through the linearity of
+    the determinant in one row. None
     proves nothing: for n >= 2, row 0 always samples the family of the
     square-zero line e_0.
 
@@ -472,7 +464,7 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode, lines)
         u = tuple(sum(target.entry(i, k) * rows[i][c] for i in range(k)) for c in range(n))
         if k < n - 1:
             return _sampled_rows(host, u, tuple(map(type, u)), mode)
-        sols = twisted_row_solutions(host, u, mode, lines=lines)
+        sols = twisted_row_solutions(host, u, mode)
         cands = list(sols.finite)
         for fam in sols.families:
             for w in _final_family_rows(rows, fam, mode):

@@ -297,7 +297,7 @@ def _check_twist_vs_oracle(rng):
     mats += [rand_bott(rng, 3) for _ in range(10)]
     for mat in mats:
         # twist_number certifies by the line bound; the search checks it
-        report = twist_number(mat, certify=True, bound=2)
+        report = twist_number(mat, certify=True)
         oracle = complexity_oracle(mat, bound=2)
         if not (report.certified_minimal and oracle.certified
                 and oracle.value == report.twist):

@@ -2,8 +2,7 @@
 
 Subcommands
   twist      greedy twist number of an upper-triangular matrix, certified
-             by the square-zero-line lower bound when the two meet, else
-             by a box search on towers up to height CERTIFY_N_MAX
+             by the square-zero-line lower bound when the two meet
   equiv      equivalence test for two one-twist vectors
   classify   enumerate a box of one-twist vectors and partition it
   recognize  decide whether a characteristic matrix is a Bott tower
@@ -11,8 +10,7 @@ Subcommands
 
 Exit codes: 0 affirmative or success, 1 negative verdict or failed
 check, 2 malformed input, 3 budget exhausted (a size guard, or under
-twist --certified a greedy count above the line bound that the box
-search did not confirm or, above height CERTIFY_N_MAX, did not run).
+twist --certified a greedy count above the line bound).
 Inputs are UTF-8 JSON files. Output is byte-stable for a fixed command
 line: JSON keys are sorted and randomness is seeded.
 """
@@ -27,7 +25,7 @@ import random
 import sys
 from itertools import product
 
-from .analysis import CERTIFY_N_MAX, twist_number
+from .analysis import twist_number
 from .checks import SELFTEST_CHECKS
 from .core import BottMatrix, CoeffMode, integer_entries
 from .onetwist import classify, diffeo_equivalent, pontrjagin_invariant
@@ -115,10 +113,8 @@ def _emit(payload: dict, fmt: str, table: tuple[list[str], list[dict]] | None = 
 
 
 def cmd_twist(args) -> int:
-    if args.bound < 1:
-        raise InputError("--bound must be at least 1 for twist")
     matrix = _load_bott_matrix(args.matrix_file)
-    report = twist_number(matrix, args.ring, certify=True, bound=args.bound)
+    report = twist_number(matrix, args.ring, certify=True)
     # certify=True always sets the oracle report
     oracle = report.oracle
     payload = {
@@ -157,6 +153,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.bound < 0:
+        raise InputError("--bound must be nonnegative")
     n = args.n
     if n < 1:
         raise InputError("--n must be at least 1")
@@ -237,9 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="output_format",
                         choices=["json", "csv", "text"], default="json")
-    bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument("--bound", type=int, default=2,
-                         help="search bound for witnesses and enumeration boxes")
 
     parser = argparse.ArgumentParser(
         prog="bott-rigidity",
@@ -247,22 +242,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and Bott recognition, all in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("twist", parents=[common, bounded],
+    p = sub.add_parser("twist", parents=[common],
                        help="greedy twist number of a tower matrix")
     p.add_argument("matrix_file")
     p.add_argument("--ring", choices=[m.value for m in CoeffMode], default="z",
                    help="coefficient ring (default z)")
     p.add_argument("--certified", action="store_true",
-                   help="exit 3 unless minimality was certified (the box search "
-                        f"behind an unmet line bound runs up to height {CERTIFY_N_MAX})")
+                   help="exit 3 unless minimality was certified by the line bound")
 
     p = sub.add_parser("equiv", parents=[common],
                        help="equivalence of two one-twist vectors")
     p.add_argument("vector_file_a")
     p.add_argument("vector_file_b")
 
-    p = sub.add_parser("classify", parents=[common, bounded],
+    p = sub.add_parser("classify", parents=[common],
                        help="partition a box of one-twist vectors")
+    p.add_argument("--bound", type=int, default=2,
+                   help="radius of the enumeration box (default 2)")
     p.add_argument("--n", type=int, required=True,
                    help="tower height; vectors live in [-bound, bound]^(n-1)")
 
@@ -290,9 +286,6 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if "bound" in args and args.bound < 0:
-        sys.stderr.write("--bound must be nonnegative\n")
-        return 2
     try:
         return HANDLERS[args.command](args)
     except InputError as exc:

@@ -29,6 +29,9 @@ def line_product_pairs(matrix: BottMatrix, z, w) -> dict:
     """Coefficients of (sum z_i x_i)(sum w_i x_i) on the pairs x_i x_j, i < j."""
     out = {}
     n = matrix.n
+    for v in (z, w):
+        if len(v) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(v)}")
     for j in range(n):
         zj, wj = z[j], w[j]
         for i in range(j):
@@ -42,6 +45,8 @@ def line_square_pairs(matrix: BottMatrix, z) -> dict:
     """Coefficients of (sum z_i x_i)^2 on the pairs x_i x_j, i < j."""
     out = {}
     n = matrix.n
+    if len(z) != n:
+        raise ValueError(f"expected {n} coefficients, got {len(z)}")
     for j in range(n):
         zj = z[j]
         for i in range(j):
@@ -181,8 +186,7 @@ class RowSolutions:
         self.families = families
 
 
-def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
-                          lines=None) -> RowSolutions:
+def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode) -> RowSolutions:
     """Solve w^2 = u*w exactly for a known degree-2 class u.
 
     Substituting v = 2w - u turns the equation into v^2 = u^2. When
@@ -200,8 +204,6 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
     """
     mode = CoeffMode(mode)
     n = matrix.n
-    if lines is None:
-        lines = _square_zero_lines(matrix)
     s = line_square_pairs(matrix, u)
     finite = []
     families = []
@@ -217,7 +219,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode,
         w0 = _halve_vector(u, mode)
         if w0 is not None and any(w0):
             finite.append(w0)
-        for line in lines:
+        for line in _square_zero_lines(matrix):
             fam = _affine_family(u, line, mode)
             if fam is not None:
                 families.append(fam)

@@ -120,7 +120,7 @@ class TestTwistNumber:
         rep = twist_number(BottMatrix([[0, 2], [0, 0]]), certify=True)
         assert rep.certified_minimal and not rep.budget_exhausted
         assert rep.oracle.value == 0
-        # a tower above the search height is certified by the line bound
+        # so is a taller one, by the line bound alone
         rep = twist_number(BottMatrix.zeros(6), certify=True)
         assert rep.certified_minimal and not rep.budget_exhausted
         assert (rep.oracle.value, rep.oracle.lower_bound) == (0, 0)
@@ -128,35 +128,27 @@ class TestTwistNumber:
         assert rep.oracle.witness == {"basis": identity, "zero_rows": 6,
                                       "twist_coefficients": [], "det": 1}
 
-    def test_search_fallback_and_its_height_guard(self, monkeypatch):
+    def test_count_above_the_line_bound_is_left_uncertified(self, monkeypatch):
         # no tower is known whose greedy count exceeds the line bound, so
-        # the bound twist_number reads (the first one computed) is lowered
-        # by one; complexity_oracle then computes the true bound
-        real_bound, real_oracle = analysis._line_lower_bound, analysis.complexity_oracle
-        bounds, searched = [], []
-
-        def lowered(n, lines, mode):
-            bounds.append(n)
-            return real_bound(n, lines, mode) - (len(bounds) == 1)
-
-        def counting(matrix, *args, **kwargs):
-            searched.append(matrix.n)
-            return real_oracle(matrix, *args, **kwargs)
-
-        monkeypatch.setattr(analysis, "_line_lower_bound", lowered)
-        monkeypatch.setattr(analysis, "complexity_oracle", counting)
-        rep = twist_number(BottMatrix([[0, 1, 1], [0, 0, -2], [0, 0, 0]]), certify=True)
-        assert searched == [3] and bounds == [3, 3]
-        assert rep.certified_minimal and not rep.budget_exhausted
-        assert (rep.twist, rep.oracle.value, rep.oracle.lower_bound) == (2, 2, 2)
-        # above the height guard the search never runs
-        bounds.clear()
-        tall = BottMatrix.from_last_column([1] + [0] * (analysis.CERTIFY_N_MAX - 1))
-        rep = twist_number(tall, certify=True)
-        assert searched == [3] and bounds == [tall.n]
+        # the bound is lowered by one, on a tower low enough for a box
+        # search: none runs, and the count comes back uncertified
+        mat = BottMatrix([[0, 1, 1], [0, 0, -2], [0, 0, 0]])
+        witness = twist_number(mat, certify=True).oracle.witness
+        real = analysis._line_lower_bound
+        searched = []
+        monkeypatch.setattr(analysis, "_line_lower_bound",
+                            lambda n, lines, mode: real(n, lines, mode) - 1)
+        monkeypatch.setattr(analysis, "complexity_oracle",
+                            lambda *args, **kwargs: searched.append(args))
+        rep = twist_number(mat, certify=True)
+        assert searched == []
         assert rep.budget_exhausted and not rep.certified_minimal
-        assert (rep.twist, rep.oracle.value, rep.oracle.lower_bound) == (1, 1, 0)
-        assert not rep.oracle.certified
+        assert (rep.twist, rep.oracle.value, rep.oracle.lower_bound) == (2, 2, 1)
+        assert not rep.oracle.certified and rep.oracle.witness == witness
+        # without certify there is no certificate and no budget to exhaust
+        rep = twist_number(mat)
+        assert rep.oracle is None
+        assert not rep.certified_minimal and not rep.budget_exhausted
 
     @pytest.mark.parametrize("mode", [CoeffMode.INTEGER, CoeffMode.TWO_LOCAL])
     def test_line_bound_is_polynomial_in_height(self, mode, monkeypatch):
@@ -181,7 +173,7 @@ class TestTwistNumber:
         monkeypatch.setattr(analysis, "complexity_oracle",
                             lambda *args, **kwargs: searched.append(args))
         rng = random.Random(58)
-        for n in range(5, 9):
+        for n in range(1, 9):
             for mode in CoeffMode:
                 for _ in range(10):
                     mat = rand_bott(rng, n, rng.randint(1, 3))

@@ -61,17 +61,17 @@ class TestTwist:
         payload = json.loads(out)
         assert payload["budget_exhausted"] is False and payload["certified"] is True
         assert payload["oracle"] == {"certified": True, "lower_bound": 0, "value": 0}
-        # the budget runs out only when the greedy count exceeds the bound
-        # above that height; no known tower does, so the bound is lowered
+        # the budget runs out only when the greedy count exceeds the line
+        # bound, at any height; no known tower does, so the bound is lowered
         real = analysis._line_lower_bound
         monkeypatch.setattr(analysis, "_line_lower_bound",
                             lambda n, lines, mode: real(n, lines, mode) - 1)
-        path = write_json(tmp_path, "t.json", [[0] * 5 + [1]] + [[0] * 6 for _ in range(5)])
+        path = write_json(tmp_path, "t.json", [[0, 1, 1], [0, 0, -2], [0, 0, 0]])
         rc, out, _ = run(capsys, ["twist", path])
         assert rc == 0
         payload = json.loads(out)
         assert payload["budget_exhausted"] is True and payload["certified"] is False
-        assert payload["oracle"] == {"certified": False, "lower_bound": 0, "value": 1}
+        assert payload["oracle"] == {"certified": False, "lower_bound": 1, "value": 2}
         rc, out, _ = run(capsys, ["twist", path, "--certified"])
         assert rc == 3
 
@@ -102,13 +102,13 @@ class TestTwist:
             main(["twist", path, "--ring", "bogus"])
         assert exc.value.code == 2
         capsys.readouterr()
-        assert run(capsys, ["twist", path, "--bound", "-1"])[0] == 2
-        # the oracle's coefficient box needs radius at least 1
-        rc, out, err = run(capsys, ["twist", path, "--bound", "0"])
-        assert rc == 2 and out == "" and "--bound" in err
-        # classify's box may be a single point
+        # classify's box may be a single point, but not have a negative radius;
+        # the radius is checked before the height
         assert run(capsys, ["classify", "--n", "2", "--bound", "0"])[0] == 0
         assert run(capsys, ["classify", "--n", "0"])[0] == 2
+        for argv in (["classify", "--n", "2", "--bound", "-1"],
+                     ["classify", "--n", "0", "--bound", "-1"]):
+            assert run(capsys, argv) == (2, "", "--bound must be nonnegative\n")
 
     def test_text_format(self, tmp_path, capsys):
         path = write_json(tmp_path, "m.json", [[0, 2], [0, 0]])
@@ -368,7 +368,7 @@ class TestSelftest:
 
 class TestFlags:
     # a flag given to a subcommand that does not read it is a usage error:
-    # --ring belongs to twist, --bound to twist and classify, --seed to
+    # --ring belongs to twist, --bound to classify, --seed to
     # selftest (--certified is checked in TestClassify)
     @pytest.mark.parametrize("argv", [
         ["classify", "--n", "2", "--ring", "q"],
@@ -382,6 +382,7 @@ class TestFlags:
         ["selftest", "--ring", "q"],
         ["selftest", "--bound", "1"],
         ["twist", "m.json", "--seed", "1"],
+        ["twist", "m.json", "--bound", "1"],
     ], ids=lambda argv: f"{argv[0]}{[a for a in argv if a.startswith('--')][-1]}")
     def test_flags_outside_their_subcommands_are_refused(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from bott_rigidity import BottMatrix, BottRing, CoeffMode
 from bott_rigidity.checks import rand_bott
 from bott_rigidity.quadratic import (
@@ -56,6 +58,17 @@ class TestClosedForms:
         mat = BottMatrix.zeros(3)
         assert line_square_pairs(mat, [1, 0, 0]) == {}
         assert line_product_pairs(mat, [1, 0, 0], [0, 1, 0]) == {(0, 1): 1}
+
+    @pytest.mark.parametrize("v", [[1, 1, 5], [1]], ids=["long", "short"])
+    def test_vector_length_is_checked(self, v):
+        # an extra entry is not dropped and a missing one is not an IndexError
+        mat = BottMatrix([[0, 1], [0, 0]])
+        message = f"expected 2 coefficients, got {len(v)}"
+        for call in (lambda: line_square_pairs(mat, v),
+                     lambda: line_product_pairs(mat, v, [1, 1]),
+                     lambda: line_product_pairs(mat, [1, 1], v)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestSquareZeroLines:
@@ -224,3 +237,9 @@ class TestTwistedRowSolutions:
         assert isinstance(sols, RowSolutions)
         # w^2 = 0: every square-zero line direction must appear as a family
         assert [step for _, step in sols.families] == square_zero_lines(BottMatrix.zeros(2))
+
+    @pytest.mark.parametrize("u", [[0, 0, 9], [0]], ids=["long", "short"])
+    def test_vector_length_is_checked(self, u):
+        # u = (0, 0, 9) is not answered as u = (0, 0)
+        with pytest.raises(ValueError, match=f"expected 2 coefficients, got {len(u)}"):
+            twisted_row_solutions(BottMatrix([[0, 1], [0, 0]]), u, CoeffMode.INTEGER)
