@@ -45,6 +45,11 @@ def _check_bound(bound: int) -> None:
         raise ValueError(f"box bound must be at least 1, got {bound}")
 
 
+def _check_tower(tower, name: str) -> None:
+    if not isinstance(tower, BottMatrix):
+        raise TypeError(f"{name}: expected a BottMatrix, got {type(tower).__name__}")
+
+
 def find_reducible_stage(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER):
     """Highest twisted stage whose twist form is even and squares to zero."""
     mode = CoeffMode(mode)
@@ -88,6 +93,7 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     certify a count above it, and no tower is known whose count exceeds
     it. bound must be at least 1 but selects nothing.
     """
+    _check_tower(matrix, "matrix")
     mode = CoeffMode(mode)
     n = matrix.n
     cur = matrix
@@ -214,6 +220,7 @@ def complexity_oracle(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     any bound >= 1. certified means the value met the lower bound;
     otherwise it is only an upper bound at this box bound.
     """
+    _check_tower(matrix, "matrix")
     mode = CoeffMode(mode)
     _check_bound(bound)
     n = matrix.n
@@ -385,6 +392,8 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
     q. When no such rows exist no integral isomorphism exists either.
     The same holds over Z_(2) for powers of 2.
     """
+    _check_tower(a, "a")
+    _check_tower(b, "b")
     mode = CoeffMode(mode)
     if a.n != b.n:
         return IsoReport(False, None, "stage count differs", mode, ())
@@ -593,7 +602,7 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     memoized by u. The root tables are kept per (q, c_ij) and the
     (w, w mod p) pairs are shared per q. The cached lists are tuples, so
     no call can change what another reads. The failed-state memo, which
-    depends on b, and the child spans stay per call.
+    depends on b, and the child spans stay per scan.
 
     A determinant is a unit mod q exactly when it is nonzero mod p. The
     search therefore keeps the span mod p of the placed rows as the set of
@@ -633,20 +642,62 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
 
     A failure is a sound obstruction for the integral question and, for
     powers of 2, for the 2-local one.
+
+    The boolean itself is memoized across calls (_modular_verdict), keyed
+    on (q, n, upper triangle of a mod q, upper triangle of b mod q) and
+    kept for the _VERDICTS_CACHED most recently used keys. The key is
+    exact: everything above reads the towers only through their entries
+    mod q, and the upper triangle holds every entry that can be nonzero.
+    The towers fall into few classes mod q (4 mod 2 and 16 mod 4 among
+    the one-twist towers of [-3,3]^2), so the mod 2, 4, p and p^2 checks
+    of ring_isomorphic mostly become lookups. Validation, the stage-count
+    comparison and n = 0 are answered before the memo.
     """
+    _check_tower(a, "a")
+    _check_tower(b, "b")
     integer_entries((modulus,), "modulus")
-    p = _prime_of(modulus)
-    q = modulus
+    _prime_of(modulus)
     n = a.n
     if n != b.n:
         return False
     if n == 0:
         return True
-    host = _scan_tables(q, _reduced(a, q))
-    if p > 2 and len(host.zeros) != len(_scan_tables(q, _reduced(b, q)).zeros):
+    return _modular_verdict(modulus, n, _triangle(a, modulus), _triangle(b, modulus))
+
+
+# Quotient pairs whose modular_iso_exists verdict stays cached, as
+# (q, n, upper triangle of a mod q, upper triangle of b mod q) keys. The
+# scans ring_isomorphic makes for the 2401 ordered one-twist pairs of
+# [-3,3]^2 touch 427 of them.
+_VERDICTS_CACHED = 1024
+
+
+def _triangle(tower: BottMatrix, q: int) -> tuple:
+    """The strict upper triangle of tower mod q, column by column."""
+    rows = tower.rows
+    return tuple([rows[i][j] % q for j in range(tower.n) for i in range(j)])
+
+
+def _untriangle(n: int, triangle: tuple) -> tuple:
+    """The rows of a tower mod q from its _triangle, as _reduced gives them."""
+    rows = [[0] * n for _ in range(n)]
+    it = iter(triangle)
+    for j in range(n):
+        for i in range(j):
+            rows[i][j] = next(it)
+    return tuple(map(tuple, rows))
+
+
+@lru_cache(maxsize=_VERDICTS_CACHED)
+def _modular_verdict(q: int, n: int, ta: tuple, tb: tuple) -> bool:
+    """modular_iso_exists for towers of height n >= 1 given by their _triangle mod q."""
+    p = _prime_of(q)
+    ca, cb = _untriangle(n, ta), _untriangle(n, tb)
+    host = _scan_tables(q, ca)
+    if p > 2 and len(host.zeros) != len(_scan_tables(q, cb).zeros):
         return False
     # coefficients of row k in the twist forms of the later rows
-    later = [[b.entry(k, j) % q for j in range(k + 1, n)] for k in range(n)]
+    later = [cb[k][k + 1:] for k in range(n)]
     candidates = host.candidates
     spans: dict = {}
     dead: set = set()

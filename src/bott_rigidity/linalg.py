@@ -3,17 +3,18 @@
 Everything here is dimension <= ~15, so clarity beats asymptotics. A
 rational matrix is first cleared to an integer one, row by row, in one
 place (_cleared_rows); after that, one fraction-free (Bareiss) row
-echelon form gives determinants and ranks, and one integer
-diagonalization gives gcds of maximal minors and solutions of A x = b
-over a chosen coefficient ring (Z, Q, or the 2-local integers). It
-records the column transform only; the right-hand side rides along as
-one more column, so no row transform is built.
+echelon form gives determinants and ranks. One integer diagonalization
+gives solutions of A x = b over a chosen coefficient ring (Z, Q, or the
+2-local integers); it records the column transform only, and the
+right-hand side rides along as one more column, so no row transform is
+built. Gcds of maximal minors come from a column Hermite reduction kept
+modulo one nonzero maximal minor, so their entries never grow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 
 def _cleared_rows(rows) -> tuple[list[list[int]], int]:
@@ -93,17 +94,60 @@ def maximal_minors_gcd(rows: list[list[int]]) -> int:
 
     A set of k rows extends to a unimodular n x n matrix exactly when this
     gcd is 1, and to an odd-determinant matrix exactly when it is odd.
-    By Cauchy-Binet, unimodular row and column operations keep the gcd of
-    the maximal minors, and the only maximal minor of the k x n diagonal
-    form that can be nonzero is the product of its diagonal.
+    By Cauchy-Binet, unimodular column operations keep the gcd of the
+    maximal minors, so at rank k it is the index of the column lattice,
+    which _lattice_index computes with entries bounded by one minor.
     """
     k = len(rows)
     if k == 0:
         return 1
     if k > len(rows[0]):
         return 0
-    diag, _, _ = _diagonalize(rows)
-    return abs(prod(diag))
+    a = [list(r) for r in rows]
+    rank, _ = _echelon(a)
+    if rank < k:
+        return 0
+    # the last Bareiss pivot is a nonzero maximal minor
+    return _lattice_index(rows, abs(next(filter(None, a[k - 1]))))
+
+
+def _lattice_index(rows: list[list[int]], det: int) -> int:
+    """Index in Z^k of the lattice spanned by the columns of k integer rows.
+
+    det is a nonzero maximal minor, so the lattice L holds det times each
+    unit vector (adjugate). The index is the gcd of the maximal minors. It
+    comes from a column Hermite reduction with every entry kept mod an R
+    such that R Z^k lies in L (first R = det), so nothing outgrows det.
+    Row by row, Euclid on the columns leaves one pivot entry x, and the
+    projection of L onto that coordinate is d Z with d = gcd(x, R): a
+    factor d of the index. The vectors of L with that coordinate zero form
+    a lattice of index (index / d), which divides R / d, so they are
+    spanned by the other columns and (R / d) Z^(k-1), and the reduction
+    goes on with those columns mod R / d.
+    """
+    r = det
+    cols = [[x % r for x in col] for col in zip(*rows)]
+    index = 1
+    for i in range(len(rows)):
+        if r == 1:
+            break
+        while True:
+            live = [c for c in cols if c[i]]
+            if len(live) < 2:
+                break
+            piv = min(live, key=lambda c: c[i])
+            for c in live:
+                if c is not piv:
+                    f = c[i] // piv[i]
+                    c[:] = [(x - f * y) % r for x, y in zip(c, piv)]
+        top = live[0][i] if live else 0
+        if live:
+            cols.remove(live[0])
+        d = gcd(top, r)
+        index *= d
+        r //= d
+        cols = [[x % r for x in c] for c in cols]
+    return index
 
 
 def _diagonalize(mat: list[list[int]], t: int | None = None):
@@ -113,8 +157,7 @@ def _diagonalize(mat: list[list[int]], t: int | None = None):
     columns. Unimodular row operations act on whole rows unrecorded, so a
     later column comes back with them applied; column operations act on
     the first t columns and on the unimodular V. Those columns of a end
-    diagonal with entries diag (no divisibility chain; enough for solving
-    and the maximal-minor gcd).
+    diagonal with entries diag (no divisibility chain; enough for solving).
     """
     a = [list(r) for r in mat]
     m = len(a)

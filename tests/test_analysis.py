@@ -769,6 +769,66 @@ class TestModularIso:
     def test_trivial_pair(self):
         assert modular_iso_exists(BottMatrix.zeros(2), BottMatrix.zeros(2), 2)
 
+    @staticmethod
+    def _shifted(rng, tower, q):
+        # a tower congruent to tower mod q, each entry moved by a multiple of q
+        return BottMatrix([[x + q * rng.randint(-2, 2) if j > i else 0
+                            for j, x in enumerate(row)] for i, row in enumerate(tower.rows)])
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 8, 9])
+    def test_congruent_pairs_get_one_verdict(self, modulus):
+        # the verdict memo is keyed on the towers mod q; each pair is scanned
+        # on empty caches, so the shifted pair is scanned afresh too
+        rng = random.Random(4000 + modulus)
+        outcomes = set()
+        for n, count in ((2, 12), (3, 12 if modulus < 8 else 4)):
+            for _ in range(count):
+                a, b = rand_bott(rng, n, 3), rand_bott(rng, n, 3)
+                a2, b2 = self._shifted(rng, a, modulus), self._shifted(rng, b, modulus)
+                _clear_caches()
+                got = modular_iso_exists(a, b, modulus)
+                _clear_caches()
+                assert modular_iso_exists(a2, b2, modulus) == got, (a, b, a2, b2)
+                outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_congruent_pairs_share_one_memo_entry(self):
+        rng = random.Random(4100)
+        a, b = BottMatrix(_tower(3, (1, 3, 2))), BottMatrix(_tower(3, (1, 1, 2)))
+        a2, b2 = self._shifted(rng, a, 4), self._shifted(rng, b, 4)
+        assert (a, b) != (a2, b2)
+        _clear_caches()
+        assert analysis._modular_verdict.cache_info().currsize == 0
+        got = modular_iso_exists(a, b, 4)
+        assert modular_iso_exists(a2, b2, 4) == got
+        info = analysis._modular_verdict.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert info.maxsize == analysis._VERDICTS_CACHED
+        # the same towers mod another modulus are another quotient pair
+        modular_iso_exists(a, b, 2)
+        assert analysis._modular_verdict.cache_info().currsize == 2
+
+
+class TestTowerArguments:
+    # a tower given as plain lists is named in a TypeError at each entry point
+    ROWS = [[0, 1], [0, 0]]
+
+    def test_ring_isomorphic(self):
+        with pytest.raises(TypeError, match="b: expected a BottMatrix, got list"):
+            ring_isomorphic(HIRZ_1, self.ROWS)
+
+    def test_modular_iso_exists(self):
+        with pytest.raises(TypeError, match="a: expected a BottMatrix, got list"):
+            modular_iso_exists(self.ROWS, HIRZ_1, 2)
+
+    def test_twist_number(self):
+        with pytest.raises(TypeError, match="matrix: expected a BottMatrix, got list"):
+            twist_number(self.ROWS, certify=True)
+
+    def test_complexity_oracle(self):
+        with pytest.raises(TypeError, match="matrix: expected a BottMatrix, got list"):
+            complexity_oracle(self.ROWS)
+
 
 class TestEvenBlockLemma:
     def test_hand_values(self):

@@ -5,6 +5,7 @@ independent cofactor-expansion oracle implemented here.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -178,6 +179,21 @@ class TestMaximalMinorsGcd:
     @settings(max_examples=120, deadline=None)
     def test_matches_minor_enumeration(self, rows):
         assert maximal_minors_gcd(rows) == minors_gcd(rows)
+
+    def test_dense_inputs_stay_fast(self):
+        # dense inputs, on which an integer elimination kept without a
+        # modulus can let its entries grow for seconds; a square matrix has
+        # |det| as its only maximal minor, and 6x8 ones are checked by
+        # enumeration
+        rng = random.Random(0)
+        cases = [[[rng.randint(-4, 4) for _ in range(8)] for _ in range(8)] for _ in range(30)]
+        cases += [[[rng.randint(-4, 4) for _ in range(8)] for _ in range(6)] for _ in range(4)]
+        for rows in cases:
+            start = time.process_time()
+            got = maximal_minors_gcd(rows)
+            assert time.process_time() - start < 0.1, rows
+            want = abs(det_int(rows)) if len(rows) == 8 else minors_gcd(rows)
+            assert got == want, rows
 
 
 def _ok_int(x):
