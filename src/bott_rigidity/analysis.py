@@ -593,16 +593,8 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     in w_j whose coefficients involve only w_i and u, so the candidates
     are built coordinate by coordinate from a table of roots mod q. They
     come out in the lexicographic order of product(range(q), repeat=n),
-    are memoized by u and carry their reduction mod p.
-
-    What depends on one tower alone is memoized across calls, in the
-    _ScanTables of a tower, keyed on (q, tower mod q) and kept for the
-    _SCAN_TABLES_CACHED most recently used keys: the reduced matrix, the
-    square-zero set and the row-0 list below, and the candidate lists,
-    memoized by u. The root tables are kept per (q, c_ij) and the
-    (w, w mod p) pairs are shared per q. The cached lists are tuples, so
-    no call can change what another reads. The failed-state memo, which
-    depends on b, and the child spans stay per scan.
+    are memoized by u for the scan and carry their reduction mod p. Only
+    the root tables are kept across scans, per (q, c_ij).
 
     A determinant is a unit mod q exactly when it is nonzero mod p. The
     search therefore keeps the span mod p of the placed rows as the set of
@@ -628,9 +620,7 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     scans. Mod 4 the counts never differ (256 obstructed scans) while the
     passing scans take about 20 % longer. Mod 2 it settles all 168
     obstructed scans, but the passing scans, which every isomorphic pair
-    (the slowest calls) makes, also take about 20 % longer. Both sets
-    are cached, so the count costs two cache lookups once the towers have
-    been seen.
+    (the slowest calls) makes, also take about 20 % longer.
 
     One row 0 per unit orbit (q > 2). Scaling every row by a unit l maps
     solutions to solutions, since (l w)^2 = (l u)(l w) and l u is the
@@ -679,7 +669,7 @@ def _triangle(tower: BottMatrix, q: int) -> tuple:
 
 
 def _untriangle(n: int, triangle: tuple) -> tuple:
-    """The rows of a tower mod q from its _triangle, as _reduced gives them."""
+    """The rows of a tower mod q from its _triangle, zero on and below the diagonal."""
     rows = [[0] * n for _ in range(n)]
     it = iter(triangle)
     for j in range(n):
@@ -693,12 +683,25 @@ def _modular_verdict(q: int, n: int, ta: tuple, tb: tuple) -> bool:
     """modular_iso_exists for towers of height n >= 1 given by their _triangle mod q."""
     p = _prime_of(q)
     ca, cb = _untriangle(n, ta), _untriangle(n, tb)
-    host = _scan_tables(q, ca)
-    if p > 2 and len(host.zeros) != len(_scan_tables(q, cb).zeros):
+    by_u: dict = {}
+
+    def candidates(u):
+        # the (w, w mod p) with w^2 = u w in a's ring mod q, in lexicographic order of w
+        rows = by_u.get(u)
+        if rows is None:
+            rows = by_u[u] = [(w, tuple([x % p for x in w])) for w in _modular_rows(q, ca, u)]
+        return rows
+
+    zero = (0,) * n
+    first = candidates(zero)
+    if p > 2 and len(first) != len(_modular_rows(q, cb, zero)):
         return False
+    if q > 2:
+        # wp's first nonzero entry is 1 where w's first unit entry is
+        first = [(w, wp) for w, wp in first
+                 if next(filter(None, wp), 0) == 1 and w[wp.index(1)] == 1]
     # coefficients of row k in the twist forms of the later rows
     later = [cb[k][k + 1:] for k in range(n)]
-    candidates = host.candidates
     spans: dict = {}
     dead: set = set()
 
@@ -707,7 +710,7 @@ def _modular_verdict(q: int, n: int, ta: tuple, tb: tuple) -> bool:
         key = (images, span)
         if key in dead:
             return False
-        for w, wp in candidates(images[0]) if k else host.first:
+        for w, wp in candidates(images[0]) if k else first:
             if wp in span:
                 continue
             if k == n - 1:
@@ -724,68 +727,7 @@ def _modular_verdict(q: int, n: int, ta: tuple, tb: tuple) -> bool:
         dead.add(key)
         return False
 
-    zero = (0,) * n
     return rec(0, (zero,) * n, frozenset([zero]))
-
-
-# Towers whose modular scan tables stay cached, as (q, tower mod q) keys.
-# The scans ring_isomorphic makes for the 1225 one-twist pairs of
-# [-3,3]^2 touch 57 of them.
-_SCAN_TABLES_CACHED = 256
-
-
-def _reduced(tower: BottMatrix, q: int) -> tuple:
-    return tuple(tuple([x % q for x in row]) for row in tower.rows)
-
-
-@lru_cache(maxsize=_SCAN_TABLES_CACHED)
-def _scan_tables(q: int, c: tuple) -> "_ScanTables":
-    return _ScanTables(q, c)
-
-
-class _ScanTables:
-    """The part of modular_iso_exists mod q that depends on one tower alone.
-
-    c is the tower mod q. zeros is its square-zero set, the candidates for
-    u = 0, and first the rows of zeros kept for row 0 (one per unit orbit
-    when q > 2). by_u memoizes candidates(u) and only ever grows. Every
-    list is a tuple of (w, w mod p) pairs, interned per q.
-    """
-
-    __slots__ = ("q", "p", "c", "by_u", "pairs", "zeros", "first")
-
-    def __init__(self, q: int, c: tuple):
-        self.q = q
-        self.p = p = _prime_of(q)
-        self.c = c
-        self.by_u: dict = {}
-        self.pairs = _row_pairs(q)
-        self.zeros = zeros = self.candidates((0,) * len(c))
-        if q > 2:
-            # wp's first nonzero entry is 1 where w's first unit entry is
-            zeros = tuple((w, wp) for w, wp in zeros
-                          if next(filter(None, wp), 0) == 1 and w[wp.index(1)] == 1)
-        self.first = zeros
-
-    def candidates(self, u: tuple) -> tuple:
-        """The (w, w mod p) with w^2 = u w mod q, in lexicographic order of w."""
-        rows = self.by_u.get(u)
-        if rows is None:
-            q, p, pairs = self.q, self.p, self.pairs
-            out = []
-            for w in _modular_rows(q, self.c, u):
-                pair = pairs.get(w)
-                if pair is None:
-                    pair = pairs[w] = (w, tuple([x % p for x in w]))
-                out.append(pair)
-            rows = self.by_u[u] = tuple(out)
-        return rows
-
-
-@lru_cache(maxsize=16)
-def _row_pairs(q: int) -> dict:
-    """The (w, w mod p) pairs of the scans mod q, keyed on w."""
-    return {}
 
 
 def _modular_rows(q: int, c: tuple, u: tuple) -> list:

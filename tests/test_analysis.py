@@ -689,24 +689,21 @@ class TestModularIso:
         for case in cases:
             assert modular_iso_exists(*case) == cold[case], case
 
-    def test_tables_cache_is_bounded(self):
-        # more distinct (q, tower mod q) keys than the cache holds
+    def test_every_cache_is_bounded(self):
+        # more quotient pairs than the verdict memo holds: the 125 height-3
+        # towers mod 5, each against 9 hosts
         _clear_caches()
-        size = analysis._SCAN_TABLES_CACHED
-        towers = [BottMatrix(_tower(3, e)) for e in product(range(9), repeat=3)][:size + 44]
-        for t in towers:
-            assert modular_iso_exists(t, t, 9)
-        info = analysis._scan_tables.cache_info()
+        size = analysis._VERDICTS_CACHED
+        towers = [BottMatrix(_tower(3, e)) for e in product(range(5), repeat=3)]
+        cases = [(a, b) for a in towers[:9] for b in towers]
+        assert len(cases) > size
+        got = [modular_iso_exists(a, b, 5) for a, b in cases]
+        assert all(v for (a, b), v in zip(cases, got) if a == b)
+        info = analysis._modular_verdict.cache_info()
         assert info.maxsize == size and info.currsize == size
-        for t in towers[-size:]:
-            tables = analysis._scan_tables(9, analysis._reduced(t, 9))
-            assert isinstance(tables.c, tuple) and all(isinstance(r, tuple) for r in tables.c)
-            lists = [tables.zeros, tables.first, *tables.by_u.values()]
-            assert all(isinstance(rows, tuple) for rows in lists)
-            assert all(isinstance(w, tuple) and isinstance(wp, tuple)
-                       for rows in lists for w, wp in rows)
         # the most recent keys were all still cached
-        assert analysis._scan_tables.cache_info().misses == info.misses
+        assert [modular_iso_exists(a, b, 5) for a, b in cases[-size:]] == got[-size:]
+        assert analysis._modular_verdict.cache_info().misses == info.misses
         for module in (analysis, quadratic):
             for fn in vars(module).values():
                 if hasattr(fn, "cache_info"):
