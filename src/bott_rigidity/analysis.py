@@ -634,10 +634,10 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     powers of 2, for the 2-local one.
 
     The boolean itself is memoized across calls (_modular_verdict), keyed
-    on (q, n, upper triangle of a mod q, upper triangle of b mod q) and
-    kept for the _VERDICTS_CACHED most recently used keys. The key is
-    exact: everything above reads the towers only through their entries
-    mod q, and the upper triangle holds every entry that can be nonzero.
+    on (q, n, entries of a mod q, entries of b mod q), each tower's entries
+    flat and row by row, and kept for the _VERDICTS_CACHED most recently
+    used keys. The key is exact: everything above reads the towers only
+    through their entries mod q.
     The towers fall into few classes mod q (4 mod 2 and 16 mod 4 among
     the one-twist towers of [-3,3]^2), so the mod 2, 4, p and p^2 checks
     of ring_isomorphic mostly become lookups. Validation, the stage-count
@@ -652,37 +652,26 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
         return False
     if n == 0:
         return True
-    return _modular_verdict(modulus, n, _triangle(a, modulus), _triangle(b, modulus))
+    return _modular_verdict(modulus, n, _flat_mod(a, modulus), _flat_mod(b, modulus))
 
 
 # Quotient pairs whose modular_iso_exists verdict stays cached, as
-# (q, n, upper triangle of a mod q, upper triangle of b mod q) keys. The
-# scans ring_isomorphic makes for the 2401 ordered one-twist pairs of
-# [-3,3]^2 touch 427 of them.
+# (q, n, entries of a mod q, entries of b mod q) keys. The scans
+# ring_isomorphic makes for the 2401 ordered one-twist pairs of [-3,3]^2
+# touch 427 of them.
 _VERDICTS_CACHED = 1024
 
 
-def _triangle(tower: BottMatrix, q: int) -> tuple:
-    """The strict upper triangle of tower mod q, column by column."""
-    rows = tower.rows
-    return tuple([rows[i][j] % q for j in range(tower.n) for i in range(j)])
-
-
-def _untriangle(n: int, triangle: tuple) -> tuple:
-    """The rows of a tower mod q from its _triangle, zero on and below the diagonal."""
-    rows = [[0] * n for _ in range(n)]
-    it = iter(triangle)
-    for j in range(n):
-        for i in range(j):
-            rows[i][j] = next(it)
-    return tuple(map(tuple, rows))
+def _flat_mod(tower: BottMatrix, q: int) -> tuple:
+    """The entries of tower mod q, row by row, in one flat tuple."""
+    return tuple([x % q for row in tower.rows for x in row])
 
 
 @lru_cache(maxsize=_VERDICTS_CACHED)
-def _modular_verdict(q: int, n: int, ta: tuple, tb: tuple) -> bool:
-    """modular_iso_exists for towers of height n >= 1 given by their _triangle mod q."""
+def _modular_verdict(q: int, n: int, fa: tuple, fb: tuple) -> bool:
+    """modular_iso_exists for towers of height n >= 1 given by their _flat_mod entries."""
     p = _prime_of(q)
-    ca, cb = _untriangle(n, ta), _untriangle(n, tb)
+    ca, cb = (tuple([f[i:i + n] for i in range(0, n * n, n)]) for f in (fa, fb))
     by_u: dict = {}
 
     def candidates(u):

@@ -2,13 +2,13 @@
 
 Everything here is dimension <= ~15, so clarity beats asymptotics. A
 rational matrix is first cleared to an integer one, row by row, in one
-place (_cleared_rows); after that, one fraction-free (Bareiss) row
-echelon form gives determinants and ranks. One integer diagonalization
-gives solutions of A x = b over a chosen coefficient ring (Z, Q, or the
-2-local integers); it records the column transform only, and the
-right-hand side rides along as one more column, so no row transform is
-built. Gcds of maximal minors come from a column Hermite reduction kept
-modulo one nonzero maximal minor, so their entries never grow.
+place (_cleared_rows). After that there are two eliminations. A
+fraction-free (Bareiss) row echelon form gives determinants and ranks,
+and its entries are minors of the input. Euclid on columns, row by row
+(_euclid), gives the rest: solutions of A x = b over a chosen
+coefficient ring (Z, Q, or the 2-local integers) from a lower column
+echelon that carries its column transform, and gcds of maximal minors
+from a column Hermite reduction kept modulo one nonzero maximal minor.
 """
 
 from __future__ import annotations
@@ -116,8 +116,9 @@ def _lattice_index(rows: list[list[int]], det: int) -> int:
 
     det is a nonzero maximal minor, so the lattice L holds det times each
     unit vector (adjugate). The index is the gcd of the maximal minors. It
-    comes from a column Hermite reduction with every entry kept mod an R
-    such that R Z^k lies in L (first R = det), so nothing outgrows det.
+    comes from a column Hermite reduction whose entries are reduced mod an
+    R such that R Z^k lies in L (first R = det) before and after each row,
+    so nothing outgrows what one row's Euclid makes of entries below det.
     Row by row, Euclid on the columns leaves one pivot entry x, and the
     projection of L onto that coordinate is d Z with d = gcd(x, R): a
     factor d of the index. The vectors of L with that coordinate zero form
@@ -131,118 +132,68 @@ def _lattice_index(rows: list[list[int]], det: int) -> int:
     for i in range(len(rows)):
         if r == 1:
             break
-        while True:
-            live = [c for c in cols if c[i]]
-            if len(live) < 2:
-                break
-            piv = min(live, key=lambda c: c[i])
-            for c in live:
-                if c is not piv:
-                    f = c[i] // piv[i]
-                    c[:] = [(x - f * y) % r for x, y in zip(c, piv)]
-        top = live[0][i] if live else 0
-        if live:
-            cols.remove(live[0])
-        d = gcd(top, r)
+        piv = _euclid(cols, i)
+        d = r
+        if piv is not None:
+            cols.remove(piv)
+            d = gcd(piv[i], r)
         index *= d
         r //= d
         cols = [[x % r for x in c] for c in cols]
     return index
 
 
-def _diagonalize(mat: list[list[int]], t: int | None = None):
-    """Integer diagonalization of the first t columns: returns (diag, a, V).
+def _euclid(cols: list[list[int]], i: int) -> list[int] | None:
+    """Euclid on entry i of integer columns, in place: the one left nonzero there, or None.
 
-    mat holds integer rows, as _cleared_rows leaves them; t defaults to all
-    columns. Unimodular row operations act on whole rows unrecorded, so a
-    later column comes back with them applied; column operations act on
-    the first t columns and on the unimodular V. Those columns of a end
-    diagonal with entries diag (no divisibility chain; enough for solving).
+    While two columns are nonzero at i, each takes away its floor quotient
+    times the one with the smallest |entry i|. These unimodular column
+    operations leave a column that is zero at i untouched.
     """
-    a = [list(r) for r in mat]
-    m = len(a)
-    if t is None:
-        t = len(a[0]) if m else 0
-    v = [[int(i == j) for j in range(t)] for i in range(t)]
-
-    def col_op(i, j, f):  # col_i -= f * col_j
-        for r in a:
-            r[i] -= f * r[j]
-        for r in v:
-            r[i] -= f * r[j]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    k = 0
-    while k < min(m, t):
-        piv = None
-        best = None
-        for i in range(k, m):
-            for j in range(k, t):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    piv, best = (i, j), abs(a[i][j])
-        if piv is None:
-            break
-        a[k], a[piv[0]] = a[piv[0]], a[k]
-        swap_cols(k, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, m):
-                if a[i][k] != 0:
-                    q = a[i][k] // a[k][k]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                    if a[i][k] != 0:  # remainder becomes the new, smaller pivot
-                        a[k], a[i] = a[i], a[k]
-                        dirty = True
-            for j in range(k + 1, t):
-                if a[k][j] != 0:
-                    q = a[k][j] // a[k][k]
-                    col_op(j, k, q)
-                    if a[k][j] != 0:
-                        swap_cols(k, j)
-                        dirty = True
-        k += 1
-    diag = [a[i][i] for i in range(min(m, t))]
-    return diag, a, v
+    while True:
+        live = [c for c in cols if c[i]]
+        if len(live) < 2:
+            return live[0] if live else None
+        piv = min(live, key=lambda c: abs(c[i]))
+        for c in live:
+            if c is not piv:
+                f = c[i] // piv[i]
+                c[:] = [x - f * y for x, y in zip(c, piv)]
 
 
 def solve_linear(a_rows, b, value_ok) -> list[Fraction] | None:
     """Solve A x = b with x constrained so every value_ok(x_i) holds.
 
     Entries of A, b may be ints or Fractions; each equation is cleared to
-    integers, which keeps its solutions over any domain. The cleared rows
-    [A | b] are diagonalized on the columns of A; b rides along as the
-    last column c, so the system becomes diag * y = c with x = V y.
-    value_ok is the membership test of the coefficient ring (always-true
-    for Q, integrality for Z, odd denominator for the 2-local integers).
-    Returns one solution or None.
+    integers, which keeps its solutions over any domain. Each column of
+    the cleared A carries its column of V below it, V starting as the
+    identity, and Euclid on the columns, row by row, makes A V = L lower
+    echelon with V unimodular. Forward substitution in L y = b fixes y on
+    the pivot columns; the other y are 0, and every row without a pivot
+    must then hold as it stands. value_ok is the membership test of the
+    coefficient ring (always-true for Q, integrality for Z, odd
+    denominator for the 2-local integers). Since V and its inverse are
+    integral, x = V y lies in the ring exactly when y does, so a solution
+    is missed in none of the three. Returns one solution or None.
     """
     m = len(a_rows)
-    if m == 0:
-        return []
-    t = len(a_rows[0])
+    t = len(a_rows[0]) if m else 0
     cleared, _ = _cleared_rows([[*row, rhs] for row, rhs in zip(a_rows, b)])
-    if t == 0:
-        return [] if all(r[0] == 0 for r in cleared) else None
-    diag, reduced, v = _diagonalize(cleared, t)
-    y = [Fraction(0)] * t
+    free = [[r[j] for r in cleared] + [int(i == j) for i in range(t)] for j in range(t)]
+    pivots, y = [], []
     for i in range(m):
-        d = diag[i] if i < len(diag) else 0
-        c = reduced[i][t]
-        if d == 0:
-            if c != 0:
+        piv = _euclid(free, i)
+        c = cleared[i][t] - sum(p[i] * yk for p, yk in zip(pivots, y))
+        if piv is not None:
+            free.remove(piv)
+            yk = Fraction(c, piv[i])
+            if not value_ok(yk):
                 return None
-        else:
-            yi = Fraction(c, d)
-            if not value_ok(yi):
-                return None
-            y[i] = yi
-    x = [sum(v[i][j] * y[j] for j in range(t)) for i in range(t)]
+            pivots.append(piv)
+            y.append(yk)
+        elif c != 0:
+            return None
+    x = [sum((p[m + j] * yk for p, yk in zip(pivots, y)), Fraction(0)) for j in range(t)]
     if not all(value_ok(xi) for xi in x):
         return None
     return x

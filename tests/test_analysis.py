@@ -364,6 +364,17 @@ class TestRingIsomorphic:
         assert rep.isomorphic is False
         assert rep.reason == "stage count differs"
 
+    def test_witness_found_only_into_the_second(self):
+        # over Z_(2) the search from a's side finds nothing, so the witness
+        # (det -15, a unit only 2-locally) must come from the reverse search
+        a = BottMatrix([[0, -1, 0], [0, 0, -3], [0, 0, 0]])
+        b = BottMatrix([[0, -1, -2], [0, 0, 1], [0, 0, 0]])
+        assert analysis._dfs_direction(a, b, CoeffMode.TWO_LOCAL) is None
+        rep = ring_isomorphic(a, b, CoeffMode.TWO_LOCAL)
+        assert rep.isomorphic is True and rep.reason == "witness verified"
+        assert rep.witness["direction"] == "first_into_second"
+        assert rep.witness["det"] == -15
+
     def test_witness_rows_replay_through_engine(self):
         pairs = [(HIRZ_1, HIRZ_3),
                  (BottMatrix([[0, 2], [0, 0]]), BottMatrix.zeros(2)),
@@ -765,6 +776,11 @@ class TestModularIso:
 
     def test_trivial_pair(self):
         assert modular_iso_exists(BottMatrix.zeros(2), BottMatrix.zeros(2), 2)
+        # height 0: the empty rows are the unit change of basis
+        assert modular_iso_exists(BottMatrix.zeros(0), BottMatrix.zeros(0), 9) is True
+
+    def test_stage_count_differs(self):
+        assert modular_iso_exists(BottMatrix.zeros(2), BottMatrix.zeros(3), 2) is False
 
     @staticmethod
     def _shifted(rng, tower, q):

@@ -227,10 +227,14 @@ class TestSolveLinear:
         assert all(v.denominator == 1 for v in x)
 
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=160, deadline=None)
     def test_never_misses_a_planted_solution(self, m, t, data):
+        # an integer x over Z, or over the 2-local integers an x whose
+        # entries have odd denominators
+        ok = data.draw(st.sampled_from([_ok_int, _ok_two_local]))
+        odd = st.sampled_from([1, 3, 5]) if ok is _ok_two_local else st.just(1)
         a = [[data.draw(small_int) for _ in range(t)] for _ in range(m)]
-        planted = [data.draw(small_int) for _ in range(t)]
+        planted = [Fraction(data.draw(small_int), data.draw(odd)) for _ in range(t)]
         b = [sum(r[j] * planted[j] for j in range(t)) for r in a]
         if data.draw(st.booleans()):
             # the same system, each equation scaled by a nonzero rational
@@ -238,11 +242,28 @@ class TestSolveLinear:
                 f = Fraction(data.draw(small_int.filter(bool)), data.draw(st.integers(1, 4)))
                 a[i] = [f * c for c in a[i]]
                 b[i] *= f
-        x = solve_linear(a, b, _ok_int)
-        assert x is not None, "an integer solution exists but was not found"
+        x = solve_linear(a, b, ok)
+        assert x is not None, "a solution in the ring exists but was not found"
         for r, rhs in zip(a, b):
             assert sum(Fraction(c) * v for c, v in zip(r, x)) == rhs
-        assert all(v.denominator == 1 for v in x)
+        assert all(ok(v) for v in x)
+
+    def test_dense_inputs_stay_fast(self):
+        # dense 8x8 and 6x8 systems with a planted integer solution, on
+        # which an elimination that pivots on rows it has not reduced lets
+        # its entries grow for seconds
+        rng = random.Random(1)
+        cases = [[[rng.randint(-4, 4) for _ in range(8)] for _ in range(m)]
+                 for m in [8] * 24 + [6] * 6]
+        for a in cases:
+            planted = [rng.randint(-4, 4) for _ in range(8)]
+            b = [sum(x * y for x, y in zip(row, planted)) for row in a]
+            start = time.process_time()
+            x = solve_linear(a, b, _ok_int)
+            assert time.process_time() - start < 0.1, a
+            assert x is not None, a
+            assert [sum(e * v for e, v in zip(row, x)) for row in a] == b
+            assert all(v.denominator == 1 for v in x)
 
 
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
