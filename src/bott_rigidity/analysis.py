@@ -322,7 +322,8 @@ class IsoReport:
 ODD_SCAN_LIMIT = 8 ** 4
 
 # Parameters t in [-FAMILY_SAMPLE, FAMILY_SAMPLE] sampled from an affine
-# family of candidate rows below the last row of the witness search.
+# family of candidate rows, for each row the witness search places before
+# its last one.
 FAMILY_SAMPLE = 3
 
 
@@ -450,13 +451,13 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
     """Search rows mapping target's generators into host's ring.
 
     Returns the rows of a unit change of basis, or None when none was
-    found. Row k solves w^2 = u w for u the image of target's twist form,
-    drawn from twisted_row_solutions; affine families below the last row
-    are sampled at the parameters |t| <= FAMILY_SAMPLE, and families
-    reaching the last row are resolved exactly through the linearity of
-    the determinant in one row. None
-    proves nothing: for n >= 2, row 0 always samples the family of the
-    square-zero line e_0.
+    found. Row k solves w^2 = u w for u the image of target's twist form;
+    each equation is solved once per key and kept (_row_equation). Affine
+    families in the rows above the last are sampled at the parameters
+    |t| <= FAMILY_SAMPLE, and families reaching the last row are resolved
+    exactly against the placed rows on every visit, through the linearity
+    of the determinant in one row. None proves nothing: for n >= 2, row 0
+    always samples the family of the square-zero line e_0.
 
     A candidate is placed only when it is independent over Q of the rows
     above it. The search carries an echelon of those rows down with it:
@@ -471,11 +472,11 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
 
     def candidates(k):
         u = tuple(sum(target.entry(i, k) * rows[i][c] for i in range(k)) for c in range(n))
+        finite, families, sampled = _row_equation(host, u, tuple(map(type, u)), mode)
         if k < n - 1:
-            return _sampled_rows(host, u, tuple(map(type, u)), mode)
-        sols = twisted_row_solutions(host, u, mode)
-        cands = list(sols.finite)
-        for fam in sols.families:
+            return sampled
+        cands = list(finite)
+        for fam in families:
             for w in _final_family_rows(rows, fam, mode):
                 if w not in cands:
                     cands.append(w)
@@ -506,21 +507,22 @@ def _row_order(w):
     return sum(map(abs, w)), w
 
 
-# Candidate lists of the witness search kept below its last row, as
-# (host, u, entry types of u, mode) keys.
-_SAMPLED_ROWS_CACHED = 256
+# Solutions of w^2 = u w for every row of the witness search, as
+# (host, u, entry types of u, mode) keys. Over Z the 1225 one-twist pairs
+# of [-3,3]^2 touch 339 keys and 40 passes of the iso_pairs benchmark 564,
+# so 1024 keys hold them all; over Q the pairs touch 2,321, none twice.
+@lru_cache(maxsize=1024)
+def _row_equation(host: BottMatrix, u: tuple, types: tuple, mode: CoeffMode) -> tuple:
+    """(finite, families, sampled) for one row equation of _dfs_direction.
 
-
-@lru_cache(maxsize=_SAMPLED_ROWS_CACHED)
-def _sampled_rows(host: BottMatrix, u: tuple, types: tuple, mode: CoeffMode) -> tuple:
-    """The candidates of _dfs_direction for a row above the last, in search order.
-
-    They are the finite solutions of w^2 = u w and the members of each
-    affine family at the parameters |t| <= FAMILY_SAMPLE, sorted. They
-    depend on host, u and mode only, so they are cached. types, the type
-    of each entry of u, is part of the key: an int and an equal Fraction
-    compare and hash alike, and without it a call could be answered from
-    rows built for the other, whose entry types the witnesses carry.
+    finite and families are the exact solutions of w^2 = u w from
+    twisted_row_solutions, as tuples; sampled is what a row above the
+    last searches: the finite rows and the members of each affine family
+    at the parameters |t| <= FAMILY_SAMPLE, sorted. They depend on host,
+    u and mode only, so they are cached. types, the type of each entry of
+    u, is part of the key: an int and an equal Fraction compare and hash
+    alike, and without it a call could be answered from rows built for
+    the other, whose entry types the witnesses carry.
     """
     sols = twisted_row_solutions(host, u, mode)
     cands = list(sols.finite)
@@ -530,7 +532,7 @@ def _sampled_rows(host: BottMatrix, u: tuple, types: tuple, mode: CoeffMode) -> 
             if any(w) and w not in cands:
                 cands.append(w)
     cands.sort(key=_row_order)
-    return tuple(cands)
+    return tuple(sols.finite), tuple(sols.families), tuple(cands)
 
 
 def _echelon_remainder(echelon, w):

@@ -50,6 +50,19 @@ def _clear_caches():
                 fn.cache_clear()
 
 
+def _pinned_pairs():
+    """The 325 unordered one-twist pairs of [-2,2]^2, then 40 seeded pairs
+    of height-3 towers over [-2,2]."""
+    vecs = list(product(range(-2, 3), repeat=2))
+    pairs = [(BottMatrix.from_last_column(list(x)), BottMatrix.from_last_column(list(y)))
+             for i, x in enumerate(vecs) for y in vecs[i:]]
+    rng = random.Random(5)
+    for _ in range(40):
+        a, b = ([rng.randint(-2, 2) for _ in range(3)] for _ in range(2))
+        pairs.append((BottMatrix(_tower(3, a)), BottMatrix(_tower(3, b))))
+    return pairs
+
+
 def _oracle_cases():
     """Every height-3 tower over [-2,2] in every mode, then 60 seeded
     height-4 towers over [-3,3], the modes taken in turn."""
@@ -406,17 +419,9 @@ class TestRingIsomorphic:
             assert va == vb
 
     def test_pinned_verdicts_and_witnesses_in_every_mode(self):
-        # the 325 unordered one-twist pairs of [-2,2]^2 and 40 seeded pairs
-        # of height-3 towers, each in every mode: the digest pins verdict,
+        # the pinned pairs, each in every mode: the digest pins verdict,
         # reason, completeness, moduli and witness (entry types included)
-        vecs = list(product(range(-2, 3), repeat=2))
-        pairs = [(BottMatrix.from_last_column(list(x)), BottMatrix.from_last_column(list(y)))
-                 for i, x in enumerate(vecs) for y in vecs[i:]]
-        rng = random.Random(5)
-        for _ in range(40):
-            a, b = ([rng.randint(-2, 2) for _ in range(3)] for _ in range(2))
-            pairs.append((BottMatrix(_tower(3, a)), BottMatrix(_tower(3, b))))
-        lines = []
+        pairs, lines = _pinned_pairs(), []
         for mode in CoeffMode:
             for a, b in pairs:
                 rep = ring_isomorphic(a, b, mode)
@@ -427,10 +432,11 @@ class TestRingIsomorphic:
 
     def test_answers_do_not_depend_on_the_caches(self):
         # each call on empty caches, then every call again on warm caches
-        # in shuffled order; the report must not change in any mode
-        vecs = list(product(range(-2, 3), repeat=2))
-        cases = [(BottMatrix.from_last_column(list(x)), BottMatrix.from_last_column(list(y)), mode)
-                 for mode in CoeffMode for i, x in enumerate(vecs) for y in vecs[i:]]
+        # in shuffled order; the report must not change in any mode. The
+        # height-3 pairs reach rows above the last with u != 0, which the
+        # one-twist pairs never do.
+        pairs = _pinned_pairs()
+        cases = [(a, b, mode) for mode in CoeffMode for a, b in pairs]
 
         def report(case):
             rep = ring_isomorphic(*case)
@@ -457,14 +463,38 @@ class TestRingIsomorphic:
 
     def test_sampled_rows_keyed_on_entry_types(self):
         # Fraction(1) == 1 and both hash alike, but an int row and a
-        # Fraction row are different witnesses
+        # Fraction row are different witnesses; the cached values are
+        # tuples all the way down, so no caller can change a shared entry
         _clear_caches()
         host = BottMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
         for u in ((2, 0, 1), (Fraction(2), 0, Fraction(1))):
-            rows = analysis._sampled_rows(host, u, tuple(map(type, u)), CoeffMode.RATIONAL)
-            assert rows and isinstance(rows, tuple)
-        info = analysis._sampled_rows.cache_info()
+            entry = analysis._row_equation(host, u, tuple(map(type, u)), CoeffMode.RATIONAL)
+            finite, families, sampled = entry
+            assert sampled and isinstance(entry, tuple)
+            assert all(isinstance(part, tuple) for part in entry)
+            assert all(isinstance(w, tuple) for w in finite + sampled)
+            assert all(isinstance(w0, tuple) and isinstance(step, tuple)
+                       for w0, step in families)
+        info = analysis._row_equation.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
+
+    def test_each_row_equation_solved_once(self, monkeypatch):
+        # every row of the witness search, the last one included, reads
+        # w^2 = u w from one cache: one solve per distinct key
+        keys = []
+        solve = analysis.twisted_row_solutions
+
+        def counted(host, u, mode):
+            keys.append((host, u, tuple(map(type, u)), mode))
+            return solve(host, u, mode)
+
+        monkeypatch.setattr(analysis, "twisted_row_solutions", counted)
+        pairs = _pinned_pairs()
+        _clear_caches()
+        for mode in CoeffMode:
+            for a, b in pairs:
+                ring_isomorphic(a, b, mode)
+        assert keys and len(keys) == len(set(keys))
 
     def test_modes_agree_on_small_corpus(self):
         for x, y in [((1,), (3,)), ((2,), (0,)), ((1,), (2,)), ((1, 1), (1, 2))]:
