@@ -41,6 +41,7 @@ from .quadratic import (
 
 
 def _check_bound(bound: int) -> None:
+    integer_entries((bound,), "bound")
     if bound < 1:
         raise ValueError(f"box bound must be at least 1, got {bound}")
 
@@ -452,12 +453,14 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
 
     Returns the rows of a unit change of basis, or None when none was
     found. Row k solves w^2 = u w for u the image of target's twist form;
-    each equation is solved once per key and kept (_row_equation). Affine
+    each equation is solved once per value of (host, u, mode) and kept
+    (_row_equation). Every candidate list is built by _members: affine
     families in the rows above the last are sampled at the parameters
     |t| <= FAMILY_SAMPLE, and families reaching the last row are resolved
     exactly against the placed rows on every visit, through the linearity
-    of the determinant in one row. None proves nothing: for n >= 2, row 0
-    always samples the family of the square-zero line e_0.
+    of the determinant in one row (CoeffMode.unit_parameters). None proves
+    nothing: for n >= 2, row 0 always samples the family of the
+    square-zero line e_0.
 
     A candidate is placed only when it is independent over Q of the rows
     above it. The search carries an echelon of those rows down with it:
@@ -472,16 +475,11 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
 
     def candidates(k):
         u = tuple(sum(target.entry(i, k) * rows[i][c] for i in range(k)) for c in range(n))
-        finite, families, sampled = _row_equation(host, u, tuple(map(type, u)), mode)
+        finite, families, sampled = _row_equation(host, u, mode)
         if k < n - 1:
             return sampled
-        cands = list(finite)
-        for fam in families:
-            for w in _final_family_rows(rows, fam, mode):
-                if w not in cands:
-                    cands.append(w)
-        cands.sort(key=_row_order)
-        return cands
+        return _members(finite, families, lambda w0, step: mode.unit_parameters(
+            det_fraction(rows + [w0]), det_fraction(rows + [step])))
 
     def rec(k):
         if k == n:
@@ -507,32 +505,42 @@ def _row_order(w):
     return sum(map(abs, w)), w
 
 
-# Solutions of w^2 = u w for every row of the witness search, as
-# (host, u, entry types of u, mode) keys. Over Z the 1225 one-twist pairs
-# of [-3,3]^2 touch 339 keys and 40 passes of the iso_pairs benchmark 564,
-# so 1024 keys hold them all; over Q the pairs touch 2,321, none twice.
-@lru_cache(maxsize=1024)
-def _row_equation(host: BottMatrix, u: tuple, types: tuple, mode: CoeffMode) -> tuple:
-    """(finite, families, sampled) for one row equation of _dfs_direction.
+def _members(finite, families, params) -> tuple:
+    """Candidate rows: finite, then each family's w0 + t*step at t in params(w0, step).
 
-    finite and families are the exact solutions of w^2 = u w from
-    twisted_row_solutions, as tuples; sampled is what a row above the
-    last searches: the finite rows and the members of each affine family
-    at the parameters |t| <= FAMILY_SAMPLE, sorted. They depend on host,
-    u and mode only, so they are cached. types, the type of each entry of
-    u, is part of the key: an int and an equal Fraction compare and hash
-    alike, and without it a call could be answered from rows built for
-    the other, whose entry types the witnesses carry.
+    Zero rows and repeats are dropped, and the rows come sorted by
+    _row_order, so a search tries the smallest rows first.
     """
-    sols = twisted_row_solutions(host, u, mode)
-    cands = list(sols.finite)
-    for w0, step in sols.families:
-        for t in range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1):
+    cands = list(finite)
+    for w0, step in families:
+        for t in params(w0, step):
             w = tuple(a + t * b for a, b in zip(w0, step))
             if any(w) and w not in cands:
                 cands.append(w)
     cands.sort(key=_row_order)
-    return tuple(sols.finite), tuple(sols.families), tuple(cands)
+    return tuple(cands)
+
+
+# Solutions of w^2 = u w for every row of the witness search, as
+# (host, u, mode) keys compared by value. Over Z the 1225 one-twist pairs
+# of [-3,3]^2 touch 339 keys and 40 passes of the iso_pairs benchmark 564,
+# so 1024 keys hold them all; over Q the pairs touch 2,272, none twice.
+@lru_cache(maxsize=1024)
+def _row_equation(host: BottMatrix, u: tuple, mode: CoeffMode) -> tuple:
+    """(finite, families, sampled) for one row equation of _dfs_direction.
+
+    finite and families are the exact solutions of w^2 = u w, as
+    twisted_row_solutions returns them; sampled is what a row above the
+    last searches: their members at the parameters |t| <= FAMILY_SAMPLE
+    (_members). Each is a tuple of tuples, so no caller can change a
+    shared entry. The solutions depend on the value of u, not on the
+    types of its entries (RowSolutions), so an int u and an equal
+    Fraction u share one entry.
+    """
+    finite, families = twisted_row_solutions(host, u, mode)
+    sampled = _members(finite, families,
+                       lambda w0, step: range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1))
+    return finite, families, sampled
 
 
 def _echelon_remainder(echelon, w):
@@ -555,24 +563,6 @@ def _echelon_remainder(echelon, w):
     if piv is None:
         return None
     return piv, primitive_part(r)
-
-
-def _final_family_rows(rows, fam, mode: CoeffMode):
-    """Exact unit-determinant members of a family w0 + t*step in the last row.
-
-    The determinant is linear in the free row: det = A + t C with
-    A = det(rows, w0) and C = det(rows, step), so the mode picks t by a
-    congruence or a linear equation (CoeffMode.unit_parameters).
-    """
-    w0, step = fam
-    A = det_fraction(rows + [w0])
-    C = det_fraction(rows + [step])
-    out = []
-    for t in mode.unit_parameters(A, C):
-        w = tuple(a + t * b for a, b in zip(w0, step))
-        if any(w):
-            out.append(w)
-    return out
 
 
 def _prime_of(modulus: int) -> int:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .core import BottMatrix, CoeffMode
 from .linalg import _cleared_rows
@@ -169,21 +170,21 @@ def _affine_family(u, line, mode: CoeffMode):
     return None
 
 
-class RowSolutions:
+class RowSolutions(NamedTuple):
     """Solutions of w^2 = u*w found by twisted_row_solutions.
 
-    finite lists single rows; families lists (w0, step) pairs describing
-    {w0 + t*step}, where over the integer-like modes every integer t
-    yields an admissible row and over the rationals every rational t.
-    The rows are candidates for a witness, so a solution they miss can
-    only cost a witness, never give a False verdict.
+    finite is a tuple of single rows; families is a tuple of (w0, step)
+    pairs describing {w0 + t*step}, where over the integer-like modes
+    every integer t yields an admissible row and over the rationals
+    every rational t. The rows are candidates for a witness, so a
+    solution they miss can only cost a witness, never give a False
+    verdict. Each entry's type follows from its value and the mode
+    (CoeffMode.halve), so an int u and an equal Fraction u have the same
+    solutions.
     """
 
-    __slots__ = ("finite", "families")
-
-    def __init__(self, finite, families):
-        self.finite = finite
-        self.families = families
+    finite: tuple
+    families: tuple
 
 
 def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode) -> RowSolutions:
@@ -223,7 +224,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode) -> RowSolution
             fam = _affine_family(u, line, mode)
             if fam is not None:
                 families.append(fam)
-        return RowSolutions(finite, families)
+        return RowSolutions(tuple(finite), tuple(families))
 
     top = max(j for _, j in s)
     for m in range(top, n):
@@ -257,7 +258,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode) -> RowSolution
             if t is not None and (mode.is_field or t.denominator == 1):
                 for tt in (t, -t):
                     push_v(tuple(tt * x for x in delta))
-    return RowSolutions(finite, families)
+    return RowSolutions(tuple(finite), tuple(families))
 
 
 def _case_pinned_rational(matrix, s, m, col, sim):

@@ -226,6 +226,16 @@ class TestComplexityOracle:
         with pytest.raises(ValueError, match=f"got {bound}"):
             twist_number(mat, certify=True, bound=bound)
 
+    @pytest.mark.parametrize("bound", [True, 2.0, 1.5, Fraction(2)])
+    def test_non_integer_bound_rejected(self, bound):
+        # a float bound used to fail deep inside range(), and True or 2.0
+        # were taken as the box bound 1 or 2
+        mat = BottMatrix([[0, 1], [0, 0]])
+        with pytest.raises(TypeError, match="bound: entry"):
+            complexity_oracle(mat, bound=bound)
+        with pytest.raises(TypeError, match="bound: entry"):
+            twist_number(mat, certify=True, bound=bound)
+
     def test_pinned_values_and_witnesses(self):
         # the digest pins each value, lower bound and witness basis, so
         # pool order and solve reuse are fixed
@@ -451,8 +461,10 @@ class TestRingIsomorphic:
             assert report(case) == cold[case], case
 
     def test_large_prime_entry_search_is_fast(self):
-        # the witness search asks for the divisors of 10^10 + 19 (prime)
-        # 144 times; trial division to its square root on each took seconds
+        # from a fresh process the witness search makes 108 divisors calls
+        # on 12 values, 6 of them small multiples of 10^10 + 19 (prime), and
+        # the divisor cache answers 96; trial division to the square root
+        # of each such multiple on every call took seconds
         _clear_caches()
         a = BottMatrix.from_last_column([1, 10 ** 10 + 19])
         b = BottMatrix.from_last_column([1, 1])
@@ -461,14 +473,15 @@ class TestRingIsomorphic:
         assert time.process_time() - start < 1.0
         assert rep.isomorphic is None and rep.moduli_checked == (2, 4, 8)
 
-    def test_sampled_rows_keyed_on_entry_types(self):
-        # Fraction(1) == 1 and both hash alike, but an int row and a
-        # Fraction row are different witnesses; the cached values are
-        # tuples all the way down, so no caller can change a shared entry
+    def test_row_equation_keyed_on_values(self):
+        # Fraction(2) == 2 and both hash alike, and the solutions take
+        # their entry types from value and mode alone, so an int u and an
+        # equal Fraction u share one entry; it is tuples all the way down,
+        # so no caller can change it
         _clear_caches()
         host = BottMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
         for u in ((2, 0, 1), (Fraction(2), 0, Fraction(1))):
-            entry = analysis._row_equation(host, u, tuple(map(type, u)), CoeffMode.RATIONAL)
+            entry = analysis._row_equation(host, u, CoeffMode.RATIONAL)
             finite, families, sampled = entry
             assert sampled and isinstance(entry, tuple)
             assert all(isinstance(part, tuple) for part in entry)
@@ -476,7 +489,7 @@ class TestRingIsomorphic:
             assert all(isinstance(w0, tuple) and isinstance(step, tuple)
                        for w0, step in families)
         info = analysis._row_equation.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_each_row_equation_solved_once(self, monkeypatch):
         # every row of the witness search, the last one included, reads
@@ -485,7 +498,7 @@ class TestRingIsomorphic:
         solve = analysis.twisted_row_solutions
 
         def counted(host, u, mode):
-            keys.append((host, u, tuple(map(type, u)), mode))
+            keys.append((host, u, mode))
             return solve(host, u, mode)
 
         monkeypatch.setattr(analysis, "twisted_row_solutions", counted)

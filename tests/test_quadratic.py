@@ -230,7 +230,21 @@ class TestTwistedRowSolutions:
         w = ring.line_element([0, 0, Fraction(-10, 3)])
         assert (w * w - ring.line_element(u) * w).is_zero()
         sols = twisted_row_solutions(mat, u, CoeffMode.TWO_LOCAL)
-        assert sols.finite == [(2, -2, -4)]
+        assert sols.finite == ((2, -2, -4),)
+
+    def test_solutions_depend_on_the_value_of_u(self):
+        # an int u and the equal Fraction u give the same rows, entry
+        # types included, so callers may key them by value
+        rng = random.Random(53)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            mat = rand_bott(rng, n, 3)
+            u = [rng.randint(-4, 4) for _ in range(n)]
+            for mode in MODES:
+                sols = twisted_row_solutions(mat, u, mode)
+                assert isinstance(sols.finite, tuple) and isinstance(sols.families, tuple)
+                same = twisted_row_solutions(mat, [Fraction(x) for x in u], mode)
+                assert repr(same) == repr(sols), (mat.to_lists(), u, mode)
 
     def test_report_type(self):
         sols = twisted_row_solutions(BottMatrix.zeros(2), [0, 0], CoeffMode.INTEGER)
