@@ -21,10 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import index, mul
 
 from .core import BottMatrix, BottRing, CoeffMode, integer_entries
 from .linalg import (
     _cleared_rows,
+    cofactor_vector,
     det_fraction,
     maximal_minors_gcd,
     primitive_part,
@@ -92,9 +94,11 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     has budget_exhausted set. No search runs: complexity_oracle certifies
     only a value that meets this same bound, so a search could never
     certify a count above it, and no tower is known whose count exceeds
-    it. bound must be at least 1 but selects nothing.
+    it. bound selects nothing, but is checked on entry with or without
+    certify: an int, at least 1.
     """
     _check_tower(matrix, "matrix")
+    _check_bound(bound)
     mode = CoeffMode(mode)
     n = matrix.n
     cur = matrix
@@ -110,7 +114,6 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     value = cur.twist_count()
     oracle = None
     if certify:
-        _check_bound(bound)
         lower = _line_lower_bound(n, square_zero_lines(matrix), mode)
         oracle = ComplexityReport(value=value, lower_bound=lower,
                                   witness=_basis_witness(matrix, cur, basis, mode), mode=mode)
@@ -454,37 +457,55 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
     Returns the rows of a unit change of basis, or None when none was
     found. Row k solves w^2 = u w for u the image of target's twist form;
     each equation is solved once per value of (host, u, mode) and kept
-    (_row_equation). Every candidate list is built by _members: affine
-    families in the rows above the last are sampled at the parameters
-    |t| <= FAMILY_SAMPLE, and families reaching the last row are resolved
-    exactly against the placed rows on every visit, through the linearity
-    of the determinant in one row (CoeffMode.unit_parameters). None proves
-    nothing: for n >= 2, row 0 always samples the family of the
-    square-zero line e_0.
+    (_row_equation). Every candidate list is built by _members: a row
+    above the last tries the members of its affine families at the
+    parameters |t| <= FAMILY_SAMPLE (_sampled_rows). At the last row the
+    determinant is linear in the candidate w: det(rows + [w]) = c . w for
+    the cofactor vector c of the placed rows (cofactor_vector), computed
+    once per visit. The families reaching it are resolved exactly against
+    the placed rows by the two dot products c . w0 and c . step
+    (CoeffMode.unit_parameters), and a candidate is accepted when c . w is
+    a unit. None proves nothing: for n >= 2, row 0 always samples the
+    family of the square-zero line e_0.
 
-    A candidate is placed only when it is independent over Q of the rows
-    above it. The search carries an echelon of those rows down with it:
-    each placed row is stored cleared to a primitive integer row, reduced
-    against the rows before it, with its pivot (_echelon_remainder). A
-    candidate is independent exactly when its remainder is nonzero, and
-    that remainder is what gets pushed, so no rank is recomputed.
+    A candidate above the last row is placed only when it is independent
+    over Q of the rows above it. The search carries an echelon of those
+    rows down with it: each placed row is stored cleared to a primitive
+    integer row, reduced against the rows before it, with its pivot
+    (_echelon_remainder). A candidate is independent exactly when its
+    remainder is nonzero, and that remainder is what gets pushed, so no
+    rank is recomputed. The last row needs no echelon: c . w is zero
+    whenever w lies in the span of the placed rows.
     """
     n = host.n
     rows: list = []
     echelon: list = []
 
-    def candidates(k):
-        u = tuple(sum(target.entry(i, k) * rows[i][c] for i in range(k)) for c in range(n))
-        finite, families, sampled = _row_equation(host, u, mode)
-        if k < n - 1:
-            return sampled
-        return _members(finite, families, lambda w0, step: mode.unit_parameters(
-            det_fraction(rows + [w0]), det_fraction(rows + [step])))
-
     def rec(k):
-        if k == n:
-            return mode.is_unit(det_fraction(rows))
-        for w in candidates(k):
+        u = tuple(sum(target.entry(i, k) * rows[i][c] for i in range(k)) for c in range(n))
+        if k == n - 1:
+            cof = cofactor_vector(rows)
+
+            def det(w):
+                # c . w; a row with a Fraction entry is cleared to integers
+                # first, since Fraction products cost several times more
+                try:
+                    return sum(map(mul, cof, map(index, w)))
+                except TypeError:
+                    [wi], d = _cleared_rows([w])
+                    t = sum(map(mul, cof, wi))
+                    return t if d == 1 else Fraction(t, d)
+
+            def params(w0, step):
+                return mode.unit_parameters(det(w0), det(step))
+
+            for w in _members(*_row_equation(host, u, mode), params):
+                value = det(w)
+                if value and mode.is_unit(value):
+                    rows.append(w)
+                    return True
+            return False
+        for w in _sampled_rows(host, u, mode):
             pivot_row = _echelon_remainder(echelon, w)
             if pivot_row is None:
                 continue
@@ -496,7 +517,7 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
             echelon.pop()
         return False
 
-    if rec(0):
+    if n == 0 or rec(0):
         return [tuple(r) for r in rows]
     return None
 
@@ -527,20 +548,25 @@ def _members(finite, families, params) -> tuple:
 # so 1024 keys hold them all; over Q the pairs touch 2,272, none twice.
 @lru_cache(maxsize=1024)
 def _row_equation(host: BottMatrix, u: tuple, mode: CoeffMode) -> tuple:
-    """(finite, families, sampled) for one row equation of _dfs_direction.
+    """(finite, families): the exact solutions of w^2 = u w for one row of _dfs_direction.
 
-    finite and families are the exact solutions of w^2 = u w, as
-    twisted_row_solutions returns them; sampled is what a row above the
-    last searches: their members at the parameters |t| <= FAMILY_SAMPLE
-    (_members). Each is a tuple of tuples, so no caller can change a
-    shared entry. The solutions depend on the value of u, not on the
-    types of its entries (RowSolutions), so an int u and an equal
-    Fraction u share one entry.
+    They are kept as twisted_row_solutions returns them, a tuple of
+    tuples, so no caller can change a shared entry. The solutions depend
+    on the value of u, not on the types of its entries (RowSolutions), so
+    an int u and an equal Fraction u share one entry.
     """
-    finite, families = twisted_row_solutions(host, u, mode)
-    sampled = _members(finite, families,
-                       lambda w0, step: range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1))
-    return finite, families, sampled
+    return twisted_row_solutions(host, u, mode)
+
+
+# Candidates of the rows above the last, sampled only for the keys such a
+# row reads. The 1225 one-twist pairs of [-3,3]^2 sample 49 keys in each
+# mode, one per tower at u = 0, of the 339 they solve over Z and 2,272
+# over Q.
+@lru_cache(maxsize=1024)
+def _sampled_rows(host: BottMatrix, u: tuple, mode: CoeffMode) -> tuple:
+    """The members of _row_equation(host, u, mode) at the parameters |t| <= FAMILY_SAMPLE (_members)."""
+    return _members(*_row_equation(host, u, mode),
+                    lambda w0, step: range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1))
 
 
 def _echelon_remainder(echelon, w):

@@ -210,6 +210,16 @@ class RingElement:
     Stored as a map from squarefree monomials (frozensets of generator
     indices) to nonzero coefficients. Supports +, -, * (with scalars and
     other elements) and ** with small nonnegative exponents.
+
+    The constructor coerces every coefficient into the ring's mode. The
+    sum, difference and product of two elements of one mode, and the
+    negation of an element, skip that step (_closed). Their coefficients
+    are sums and products of coefficients already coerced and of integer
+    tower entries. Each mode's coefficients are closed under those
+    operations, and so is their type: ints over Z, Fractions over Q, and
+    Fractions with odd denominators over Z_(2). Coercing them again would
+    return them unchanged. A scalar operand, or an element of another
+    mode, is still coerced.
     """
 
     __slots__ = ("ring", "terms")
@@ -222,6 +232,14 @@ class RingElement:
                 clean[frozenset(mono)] = c
         self.ring = ring
         self.terms = clean
+
+    @classmethod
+    def _closed(cls, ring: "BottRing", terms: dict) -> "RingElement":
+        """An element whose frozenset-keyed coefficients already lie in ring's mode; zeros are dropped."""
+        self = cls.__new__(cls)
+        self.ring = ring
+        self.terms = {m: c for m, c in terms.items() if c}
+        return self
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -251,13 +269,13 @@ class RingElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return RingElement(self.ring, out)
+        return RingElement._closed(self.ring, out)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return RingElement(self.ring, {m: -c for m, c in self.terms.items()})
+        return RingElement._closed(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce_operand(other))
@@ -282,9 +300,12 @@ class RingElement:
         return out
 
     def _coerce_operand(self, other) -> "RingElement":
+        """other as an element of this ring's mode, for + and -."""
         if isinstance(other, RingElement):
             if other.ring.matrix != self.ring.matrix:
                 raise ValueError("elements live over different Bott matrices")
+            if other.ring.mode is not self.ring.mode:
+                return RingElement(self.ring, other.terms)
             return other
         return self.ring.scalar(other)
 
@@ -384,6 +405,7 @@ class BottRing:
     def _multiply(self, a: RingElement, b: RingElement) -> RingElement:
         if a.ring.matrix != b.ring.matrix:
             raise ValueError("elements live over different Bott matrices")
+        rows = self.matrix.rows
         acc: dict = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
@@ -391,10 +413,19 @@ class BottRing:
                 if not (ma & mb):
                     mono = ma | mb
                     acc[mono] = acc.get(mono, 0) + c
-                    continue
-                exps = Counter(ma) + Counter(mb)
-                for mono, cc in self._reduce_counter(exps, c).items():
-                    acc[mono] = acc.get(mono, 0) + cc
+                elif len(ma) == 1 and ma == mb:
+                    # x_j x_j -> f_j x_j = sum_i c_ij x_i x_j
+                    (j,) = ma
+                    for i in range(j):
+                        if rows[i][j]:
+                            mono = frozenset((i, j))
+                            acc[mono] = acc.get(mono, 0) + c * rows[i][j]
+                else:
+                    exps = Counter(ma) + Counter(mb)
+                    for mono, cc in self._reduce_counter(exps, c).items():
+                        acc[mono] = acc.get(mono, 0) + cc
+        if a.ring.mode is b.ring.mode is self.mode:
+            return RingElement._closed(self, acc)
         return RingElement(self, acc)
 
     def top_class_nonzero(self) -> bool:

@@ -9,6 +9,8 @@ and its entries are minors of the input. Euclid on columns, row by row
 coefficient ring (Z, Q, or the 2-local integers) from a lower column
 echelon that carries its column transform, and gcds of maximal minors
 from a column Hermite reduction kept modulo one nonzero maximal minor.
+The cofactors of a last row, which give every determinant with that
+row as a dot product, come from Laplace expansion (cofactor_vector).
 """
 
 from __future__ import annotations
@@ -82,6 +84,40 @@ def det_fraction(rows) -> Fraction:
     """Determinant of a square matrix with int/Fraction entries."""
     ints, scale = _cleared_rows(rows)
     return Fraction(det_int(ints), scale)
+
+
+def cofactor_vector(rows) -> list:
+    """c with det(rows + [w]) = sum_j c_j w_j for every w, given n - 1 rows of length n.
+
+    c_j is the cofactor of entry j of the last row: (-1)^(n-1+j) times the
+    minor of rows without column j, so one call answers the determinant
+    for every last row by a dot product. The minors of the first k + 1
+    rows on every set of k + 1 columns come from those of the first k rows
+    by Laplace expansion along row k, over the cleared integer rows
+    (_cleared_rows): at most n 2^(n-1) products, and none for a zero
+    entry, which at the heights the witness search reaches is cheaper
+    than one elimination per column. c is integral when every row is,
+    and otherwise Fractions over the clearing scale. It is zero exactly
+    when the rows are dependent.
+    """
+    ints, scale = _cleared_rows(rows)
+    n = len(ints) + 1
+    # column set (a bit mask) -> its minor on the rows expanded so far
+    minors = {0: 1}
+    for row in ints:
+        nxt: dict = {}
+        for s, x in enumerate(row):
+            if x:
+                bit = 1 << s
+                for cols, m in minors.items():
+                    if not cols & bit:
+                        # the sign counts the columns of cols right of column s
+                        term = -x * m if (cols >> s).bit_count() % 2 else x * m
+                        nxt[cols | bit] = nxt.get(cols | bit, 0) + term
+        minors = nxt
+    full = (1 << n) - 1
+    c = [(-1) ** (n - 1 + j) * minors.get(full ^ (1 << j), 0) for j in range(n)]
+    return c if scale == 1 else [Fraction(x, scale) for x in c]
 
 
 def rank_fraction(rows) -> int:

@@ -236,6 +236,13 @@ class TestComplexityOracle:
         with pytest.raises(TypeError, match="bound: entry"):
             twist_number(mat, certify=True, bound=bound)
 
+    @pytest.mark.parametrize("bound, error", [(1.5, TypeError), (0, ValueError)])
+    def test_bound_checked_without_certify(self, bound, error):
+        # the keyword selects nothing without certify, and used to be
+        # checked only with it
+        with pytest.raises(error, match="bound"):
+            twist_number(BottMatrix([[0, 1], [0, 0]]), certify=False, bound=bound)
+
     def test_pinned_values_and_witnesses(self):
         # the digest pins each value, lower bound and witness basis, so
         # pool order and solve reuse are fixed
@@ -476,20 +483,35 @@ class TestRingIsomorphic:
     def test_row_equation_keyed_on_values(self):
         # Fraction(2) == 2 and both hash alike, and the solutions take
         # their entry types from value and mode alone, so an int u and an
-        # equal Fraction u share one entry; it is tuples all the way down,
-        # so no caller can change it
+        # equal Fraction u share one entry in each cache; the solutions
+        # and the sampled rows are tuples all the way down, so no caller
+        # can change them
         _clear_caches()
         host = BottMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
         for u in ((2, 0, 1), (Fraction(2), 0, Fraction(1))):
             entry = analysis._row_equation(host, u, CoeffMode.RATIONAL)
-            finite, families, sampled = entry
-            assert sampled and isinstance(entry, tuple)
+            sampled = analysis._sampled_rows(host, u, CoeffMode.RATIONAL)
+            finite, families = entry
+            assert sampled and isinstance(entry, tuple) and isinstance(sampled, tuple)
             assert all(isinstance(part, tuple) for part in entry)
             assert all(isinstance(w, tuple) for w in finite + sampled)
             assert all(isinstance(w0, tuple) and isinstance(step, tuple)
                        for w0, step in families)
-        info = analysis._row_equation.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+        for cache in (analysis._row_equation, analysis._sampled_rows):
+            info = cache.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
+
+    def test_last_row_keys_are_not_sampled(self):
+        # a one-twist target places rows 0 and 1 from the u = 0 key, and
+        # its last row reads other keys only for their solutions
+        _clear_caches()
+        a = BottMatrix.from_last_column([1, 2])
+        b = BottMatrix.from_last_column([1, 0])
+        for mode in CoeffMode:
+            analysis._dfs_direction(a, b, mode)
+        solved = analysis._row_equation.cache_info().currsize
+        sampled = analysis._sampled_rows.cache_info().currsize
+        assert sampled == len(CoeffMode) < solved
 
     def test_each_row_equation_solved_once(self, monkeypatch):
         # every row of the witness search, the last one included, reads

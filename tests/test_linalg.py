@@ -13,6 +13,7 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from bott_rigidity.linalg import (
+    cofactor_vector,
     det_fraction,
     det_int,
     maximal_minors_gcd,
@@ -118,6 +119,45 @@ class TestDeterminant:
     def test_fraction_entries(self):
         rows = [[Fraction(1, 2), 1], [1, Fraction(1, 2)]]
         assert det_fraction(rows) == Fraction(-3, 4)
+
+
+class TestCofactorVector:
+    def test_hand_values(self):
+        assert cofactor_vector([]) == [1]
+        # det([[1, 2], [a, b]]) = b - 2a
+        assert cofactor_vector([[1, 2]]) == [-2, 1]
+        assert cofactor_vector([[1, 0, 0], [0, 1, 0]]) == [0, 0, 1]
+        assert cofactor_vector([[1, 2, 3], [2, 4, 6]]) == [0, 0, 0]
+
+    def test_entry_types(self):
+        assert all(type(x) is int for x in cofactor_vector([[1, 2, 0], [0, 1, 5]]))
+        assert cofactor_vector([[Fraction(1, 2), 0]]) == [0, Fraction(1, 2)]
+        assert all(type(x) is Fraction for x in cofactor_vector([[Fraction(1, 2), 1]]))
+
+    def test_dot_product_is_the_determinant(self):
+        # c . w equals det(rows + [w]) exactly for every w, with int and
+        # Fraction rows, dependent ones included
+        rng = random.Random(97)
+
+        def entry():
+            return rng.choice((0, 0, 1, -1, rng.randint(-6, 6),
+                               Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+
+        dependent = 0
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            rows = [[entry() for _ in range(n)] for _ in range(n - 1)]
+            if n > 2 and rng.random() < 0.25:
+                rows[-1] = [rng.choice((2, Fraction(-1, 3))) * x for x in rows[0]]
+            c = cofactor_vector(rows)
+            assert len(c) == n
+            if rank_fraction(rows) < n - 1:
+                dependent += 1
+                assert not any(c)
+            for _ in range(3):
+                w = [entry() for _ in range(n)]
+                assert sum(x * y for x, y in zip(c, w)) == det_fraction(rows + [w])
+        assert dependent > 50
 
 
 class TestRank:

@@ -14,6 +14,7 @@ from bott_rigidity import (
     BottMatrix,
     BottRing,
     CoeffMode,
+    RingElement,
     inverse_pair_coefficient_condition,
     pontrjagin_one_twist,
     total_chern_sum,
@@ -146,6 +147,58 @@ class TestRingLaws:
         pz = (rz.line_element(a) * rz.line_element(b)).to_triples()
         assert pz == (r2.line_element(a) * r2.line_element(b)).to_triples()
         assert pz == (rq.line_element(a) * rq.line_element(b)).to_triples()
+
+
+class TestClosedOperations:
+    """Element + element, negation and element * element skip coerce; a
+    generator squared is rewritten in place. Each must give the normal form
+    built term by term through the coercing constructor."""
+
+    @staticmethod
+    def _typed(elem):
+        return {m: (c, type(c)) for m, c in elem.terms.items()}
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_match_term_by_term_normal_form(self, mode):
+        rng = random.Random(113)
+        dens = {CoeffMode.INTEGER: (1,), CoeffMode.TWO_LOCAL: (1, 1, 3, 5),
+                CoeffMode.RATIONAL: (1, 2, 3, 4)}[mode]
+
+        def coeff():
+            return Fraction(rng.randint(-4, 4), rng.choice(dens))
+
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            mat = rand_bott(rng, n)
+            ring = BottRing(mat, mode)
+            a = [coeff() for _ in range(n)]
+            b = [a[i] if rng.random() < 0.3 else coeff() for i in range(n)]
+            z, w = ring.line_element(a), ring.line_element(b)
+            prod: dict = {}
+            for i in range(n):
+                for j in range(n):
+                    for m, c in ring.reduce_monomial([i, j]).terms.items():
+                        prod[m] = prod.get(m, 0) + a[i] * b[j] * c
+
+            def line(coeffs):
+                return RingElement(ring, {frozenset([i]): c for i, c in enumerate(coeffs)})
+
+            # the terms with i == j are generator squares
+            assert self._typed(z * w) == self._typed(RingElement(ring, prod))
+            assert self._typed(z + w) == self._typed(line([x + y for x, y in zip(a, b)]))
+            assert self._typed(-z) == self._typed(line([-x for x in a]))
+            assert self._typed(z - z) == {}
+
+    def test_other_mode_operand_is_coerced(self):
+        rz = BottRing(HIRZEBRUCH, CoeffMode.INTEGER)
+        rq = BottRing(HIRZEBRUCH, CoeffMode.RATIONAL)
+        total = rz.generator(0) + rq.line_element([Fraction(2), 1])
+        assert {m: type(c) for m, c in total.terms.items()} == {
+            frozenset([0]): int, frozenset([1]): int}
+        with pytest.raises(ValueError):
+            rz.generator(0) + rq.line_element([Fraction(1, 2), 0])
+        with pytest.raises(ValueError):
+            rz.generator(0) * rq.line_element([0, Fraction(1, 2)])
 
 
 class TestCoeffRing:
