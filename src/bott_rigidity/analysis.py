@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import index, mul
+from operator import mul
 
 from .core import BottMatrix, BottRing, CoeffMode, integer_entries
 from .linalg import (
@@ -487,14 +487,7 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
             cof = cofactor_vector(rows)
 
             def det(w):
-                # c . w; a row with a Fraction entry is cleared to integers
-                # first, since Fraction products cost several times more
-                try:
-                    return sum(map(mul, cof, map(index, w)))
-                except TypeError:
-                    [wi], d = _cleared_rows([w])
-                    t = sum(map(mul, cof, wi))
-                    return t if d == 1 else Fraction(t, d)
+                return sum(map(mul, cof, w))
 
             def params(w0, step):
                 return mode.unit_parameters(det(w0), det(step))

@@ -414,7 +414,10 @@ class BottRing:
                     mono = ma | mb
                     acc[mono] = acc.get(mono, 0) + c
                 elif len(ma) == 1 and ma == mb:
-                    # x_j x_j -> f_j x_j = sum_i c_ij x_i x_j
+                    # x_j x_j -> f_j x_j = sum_i c_ij x_i x_j, the only
+                    # overlap in a product of two line elements; _reduce_counter
+                    # gives the same terms through a Counter round trip, which
+                    # made ring_isomorphic on one-twist pairs about 16 % slower
                     (j,) = ma
                     for i in range(j):
                         if rows[i][j]:
