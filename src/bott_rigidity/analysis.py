@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from operator import mul
 
 from .core import BottMatrix, BottRing, CoeffMode, integer_entries
@@ -55,9 +56,13 @@ def _check_tower(tower, name: str) -> None:
 
 def find_reducible_stage(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER):
     """Highest twisted stage whose twist form is even and squares to zero."""
-    mode = CoeffMode(mode)
+    if type(mode) is not CoeffMode:
+        mode = CoeffMode(mode)
+    # full columns, read once: zero on and below the diagonal, so column m
+    # is nonzero exactly when f_m is
+    cols = list(zip(*matrix.rows))
     for m in reversed(range(matrix.n)):
-        if not matrix.is_zero_column(m) and stage_fibration_trivial(matrix, m, mode):
+        if any(cols[m]) and stage_fibration_trivial(matrix, m, mode):
             return m
     return None
 
@@ -89,7 +94,9 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
 
     With certify=True, oracle is a ComplexityReport of the count, the line
     lower bound of complexity_oracle (which takes time polynomial in the
-    height) and the composed basis, checked in closed form, as witness.
+    height) and the composed basis as witness. _basis_witness checks it
+    with one closed-form product per relation, and reads its determinant
+    off the diagonal of the lower triangular basis the moves compose.
     The count is certified when it meets the bound; otherwise the report
     has budget_exhausted set. No search runs: complexity_oracle certifies
     only a value that meets this same bound, so a search could never
@@ -124,18 +131,23 @@ def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode
     """The witness of a basis presenting final inside matrix's ring, checked.
 
     Row k of basis is final's k-th generator y_k in matrix's generators.
-    Each relation y_k^2 = f_k y_k, with f_k read off column k of final, is
-    checked in closed form, and the determinant must be a unit. The rows
-    are then put in the shape complexity_oracle returns: square-zero rows
-    first, then the twisted rows in stage order, each with the
-    coefficients of its twist form in the reordered rows.
+    Each relation y_k^2 = f_k(y) y_k, with f_k read off column k of final,
+    is checked as the one closed-form product (y_k - u_k) y_k = 0, where
+    u_k = f_k(y) is a vector in matrix's generators. The moves keep the
+    basis lower triangular (moves._moved_basis), which is asserted, so its
+    determinant is the product of the diagonal, and it must be a unit.
+    The rows are then put in the shape complexity_oracle returns:
+    square-zero rows first, then the twisted rows in stage order, each
+    with the coefficients of its twist form in the reordered rows; "det"
+    is the Fraction determinant of those rows.
     """
     n = matrix.n
     cols = [final.column(k) for k in range(n)]
-    for y, col in zip(basis, cols):
-        u = [sum(c * r[x] for c, r in zip(col, basis) if c) for x in range(n)]
-        if line_square_pairs(matrix, y) != line_product_pairs(matrix, u, y):
+    for k, (y, col) in enumerate(zip(basis, cols)):
+        if line_product_pairs(matrix, _relation_factor(y, col, basis), y):
             raise AssertionError("composed basis fails a relation")
+        if any(y[k + 1:]):
+            raise AssertionError("composed basis is not lower triangular")
     order = [k for k in range(n) if not any(cols[k])]
     need = len(order)
     order += [k for k in range(n) if any(cols[k])]
@@ -147,10 +159,22 @@ def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode
             coeffs[pos[i]] = c
         twist_rows.append(coeffs)
     rows = [basis[k] for k in order]
-    det = det_fraction(rows)
+    # reordering the rows by order multiplies the determinant by its sign
+    inversions = sum(p > q for p, q in combinations(order, 2))
+    det = (-1) ** inversions * prod(basis[k][k] for k in range(n))
     if not mode.is_unit(det):
         raise AssertionError("composed basis determinant is not a unit")
-    return {"basis": rows, "zero_rows": need, "twist_coefficients": twist_rows, "det": det}
+    return {"basis": rows, "zero_rows": need, "twist_coefficients": twist_rows,
+            "det": Fraction(det)}
+
+
+def _relation_factor(w, col, rows) -> list:
+    """w - u for u = sum_i col[i] rows[i]; w^2 = u w exactly when (w - u) w = 0."""
+    rest = list(w)
+    for c, r in zip(col, rows):
+        if c:
+            rest = [a - c * b for a, b in zip(rest, r)]
+    return rest
 
 
 @dataclass
@@ -436,14 +460,16 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
 
 
 def _verified_witness(host, target, rows, mode, direction):
-    """Replay the candidate change of basis through the full ring engine."""
+    """Replay the candidate change of basis through the full ring engine.
+
+    Each relation w_k^2 = u_k w_k, with u_k the image of target's twist
+    form, is one ring product (w_k - u_k) w_k, which must vanish. Only the
+    vector w_k - u_k is formed outside the engine (_relation_factor).
+    """
     ring = BottRing(host, mode)
-    elems = [ring.line_element(r) for r in rows]
-    for k in range(target.n):
-        u = ring.zero()
-        for i in range(k):
-            u = u + target.entry(i, k) * elems[i]
-        if not (elems[k] * elems[k] - u * elems[k]).is_zero():
+    for k, w in enumerate(rows):
+        rest = _relation_factor(w, target.column(k), rows)
+        if not (ring.line_element(rest) * ring.line_element(w)).is_zero():
             raise AssertionError("witness failed relation replay")
     det = det_fraction(rows)
     if not mode.is_unit(det):

@@ -86,6 +86,8 @@ class CoeffMode(str, Enum):
 
     def is_unit(self, value) -> bool:
         """Whether value lies in the ring and so does its inverse."""
+        if type(value) is int:
+            return value != 0 and self._admits(abs(value))
         f = Fraction(value)
         # the inverse of p/q in lowest terms is q/p, with denominator |p|
         return f != 0 and self._admits(f.denominator) and self._admits(abs(f.numerator))

@@ -93,13 +93,16 @@ def stage_fibration_trivial(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffM
     True for an already zero column, and otherwise exactly when the twist
     form f_m is divisible by 2 in the coefficient ring and squares to zero
     over the base of stage m. The square is taken in closed form
-    (line_square_pairs), with f_m padded by zeros from stage m on.
+    (line_square_pairs), with f_m padded by zeros from stage m on. A mode
+    that is already a CoeffMode member is used as it is, so the greedy
+    loop does not normalise it again for every stage.
     """
-    mode = CoeffMode(mode)
+    if type(mode) is not CoeffMode:
+        mode = CoeffMode(mode)
     col = matrix.column(m)
-    if all(c == 0 for c in col):
+    if not any(col):
         return True
-    if not all(mode.is_even(c) for c in col):
+    if not all(map(mode.is_even, col)):
         return False
     return not line_square_pairs(matrix, col + (0,) * (matrix.n - m))
 
@@ -164,6 +167,13 @@ def _moved_basis(basis, col, m: int, denom: int):
     keeps every twist form and keeps the rows integral. Clearing the
     denominator denom then multiplies the generator of stage i by
     denom**i.
+
+    Row m is rewritten with rows i < m only (f_m has length m) and every
+    other row is scaled, so a lower triangular basis stays lower
+    triangular: row k is supported on indices <= k. Composed from the
+    identity, every basis twist_number builds has this shape, which
+    analysis._basis_witness asserts before it reads the determinant off
+    the diagonal.
     """
     scale = 1 if all(c % 2 == 0 for c in col) else 2
     row = [scale * a for a in basis[m]]

@@ -196,6 +196,48 @@ class TestTwistNumber:
         assert searched == []
 
 
+class TestTwistWitness:
+    # the trivial tower: every relation reads y_k^2 = 0
+    ZEROS = BottMatrix.zeros(2)
+
+    def test_row_breaking_a_relation_rejected(self):
+        # x_0 + x_1 squares to 2 x_0 x_1
+        with pytest.raises(AssertionError, match="fails a relation"):
+            analysis._basis_witness(self.ZEROS, self.ZEROS, [[1, 0], [1, 1]], CoeffMode.INTEGER)
+
+    def test_entry_above_the_diagonal_rejected(self):
+        # swapping the generators keeps every relation and a unit
+        # determinant, but no move composes it
+        with pytest.raises(AssertionError, match="not lower triangular"):
+            analysis._basis_witness(self.ZEROS, self.ZEROS, [[0, 1], [1, 0]], CoeffMode.INTEGER)
+
+    def test_non_unit_diagonal_rejected_over_z(self):
+        # 3 x_0 still squares to zero, but the determinant is 3
+        basis = [[3, 0], [0, 1]]
+        with pytest.raises(AssertionError, match="not a unit"):
+            analysis._basis_witness(self.ZEROS, self.ZEROS, basis, CoeffMode.INTEGER)
+        witness = analysis._basis_witness(self.ZEROS, self.ZEROS, basis, CoeffMode.RATIONAL)
+        assert witness["det"] == 3
+
+    def test_replay_rejects_a_row_breaking_a_relation(self):
+        with pytest.raises(AssertionError, match="relation replay"):
+            analysis._verified_witness(self.ZEROS, self.ZEROS, [[1, 0], [1, 1]],
+                                       CoeffMode.INTEGER, "first_into_second")
+
+    def test_det_matches_elimination(self):
+        # the determinant read off the diagonal is the one Bareiss gives,
+        # a Fraction in every mode
+        rng = random.Random(2509)
+        towers = [_tower(n, e) for n in (2, 3) for e in product(range(-2, 3), repeat=n * (n - 1) // 2)]
+        towers += [rand_bott(rng, n).to_lists() for n in range(4, 9) for _ in range(120)]
+        for rows in towers:
+            for mode in CoeffMode:
+                witness = twist_number(BottMatrix(rows), mode, certify=True).oracle.witness
+                expected = det_fraction(witness["basis"])
+                assert type(witness["det"]) is type(expected) is Fraction
+                assert witness["det"] == expected
+
+
 class TestComplexityOracle:
     def test_hand_values(self):
         assert complexity_oracle(BottMatrix.zeros(3)).value == 0

@@ -232,6 +232,15 @@ class TestCoeffRing:
         with pytest.raises(TypeError):
             CoeffMode.INTEGER.coerce(True)
 
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_int_units_match_fraction_route(self, mode):
+        # an int is tested without building a Fraction; bool and Fraction
+        # values still take the Fraction route, and every answer agrees
+        for x in range(-50, 51):
+            assert mode.is_unit(x) is mode.is_unit(Fraction(x))
+        assert mode.is_unit(True) is mode.is_unit(Fraction(1)) is True
+        assert mode.is_unit(False) is mode.is_unit(Fraction(0)) is False
+
     def test_membership_and_field(self):
         half, third = Fraction(1, 2), Fraction(1, 3)
         assert [m.contains(half) for m in CoeffMode] == [False, True, False]
