@@ -196,7 +196,7 @@ class TestTwistNumber:
         assert searched == []
 
 
-class TestTwistWitness:
+class TestWitnessChecks:
     # the trivial tower: every relation reads y_k^2 = 0
     ZEROS = BottMatrix.zeros(2)
 
