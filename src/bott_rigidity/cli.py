@@ -9,8 +9,13 @@ Subcommands
   selftest   seeded desk-scale property checks across every module
 
 Exit codes: 0 affirmative or success, 1 negative verdict or failed
-check, 2 malformed input, 3 budget exhausted (a size guard, or under
-twist --certified a greedy count above the line bound).
+check, 2 malformed input or a result too large to print, 3 budget
+exhausted (a size guard, or under twist --certified a greedy count above
+the line bound). Malformed input includes a file that is not UTF-8,
+JSON that does not parse (arrays nested past the recursion limit
+included) and a number longer than the int-digit limit; a result too
+large to print has an integer past that limit, and nothing of it is
+written to stdout.
 Inputs are UTF-8 JSON files. Output is byte-stable for a fixed command
 line: JSON keys are sorted and randomness is seeded.
 """
@@ -40,11 +45,23 @@ class InputError(ValueError):
 
 def _load_json_file(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8: {exc}") from exc
+    if "\r" in text:
+        # read line endings as text mode does, so the positions in a JSON
+        # error stay the same; outside strings CR and LF are whitespace
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, a number past the int-digit limit, or arrays
+        # nested deeper than the recursion limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -85,11 +102,20 @@ def _inline(v) -> str:
 
 
 def _emit(payload: dict, fmt: str, table: tuple[list[str], list[dict]] | None = None):
+    """Write the payload in one piece, or nothing when it cannot be printed."""
+    try:
+        text = _render(payload, fmt, table)
+    except ValueError as exc:
+        # an integer past the int-digit limit has no decimal form
+        raise InputError(f"result too large to print: {exc}") from exc
+    sys.stdout.write(text)
+
+
+def _render(payload: dict, fmt: str, table: tuple[list[str], list[dict]] | None) -> str:
     # payloads hold only str-keyed dicts, lists, tuples, ints, bools,
     # strings and None, which json.dumps writes as they are
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-        return
+        return json.dumps(payload, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -102,10 +128,8 @@ def _emit(payload: dict, fmt: str, table: tuple[list[str], list[dict]] | None = 
             writer.writerow(["key", "value"])
             for key in sorted(payload):
                 writer.writerow([key, _inline(payload[key])])
-        sys.stdout.write(buf.getvalue())
-        return
-    for key in sorted(payload):
-        sys.stdout.write(f"{key}: {_inline(payload[key])}\n")
+        return buf.getvalue()
+    return "".join(f"{key}: {_inline(payload[key])}\n" for key in sorted(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +253,12 @@ def cmd_selftest(args) -> int:
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # each flag sits on the subcommands that read it; elsewhere it is a
-    # usage error rather than silently ignored
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name.
+
+    Each flag sits on the subcommands that read it; elsewhere it is a
+    usage error rather than silently ignored.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="output_format",
                         choices=["json", "csv", "text"], default="json")
@@ -241,40 +268,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Twist numbers, ring isomorphism, one-twist classification "
                     "and Bott recognition, all in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
 
-    p = sub.add_parser("twist", parents=[common],
-                       help="greedy twist number of a tower matrix")
+    def add(name: str, help: str) -> argparse.ArgumentParser:
+        subparsers[name] = sub.add_parser(name, parents=[common], help=help)
+        return subparsers[name]
+
+    p = add("twist", "greedy twist number of a tower matrix")
     p.add_argument("matrix_file")
     p.add_argument("--ring", choices=[m.value for m in CoeffMode], default="z",
                    help="coefficient ring (default z)")
     p.add_argument("--certified", action="store_true",
                    help="exit 3 unless minimality was certified by the line bound")
 
-    p = sub.add_parser("equiv", parents=[common],
-                       help="equivalence of two one-twist vectors")
+    p = add("equiv", "equivalence of two one-twist vectors")
     p.add_argument("vector_file_a")
     p.add_argument("vector_file_b")
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="partition a box of one-twist vectors")
+    p = add("classify", "partition a box of one-twist vectors")
     p.add_argument("--bound", type=int, default=2,
                    help="radius of the enumeration box (default 2)")
     p.add_argument("--n", type=int, required=True,
                    help="tower height; vectors live in [-bound, bound]^(n-1)")
 
-    p = sub.add_parser("recognize", parents=[common],
-                       help="decide whether a characteristic matrix is a tower")
+    p = add("recognize", "decide whether a characteristic matrix is a tower")
     p.add_argument("matrix_file")
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the seeded property-check battery")
+    p = add("selftest", "run the seeded property-check battery")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized property sampling")
-    return parser
+    return parser, subparsers
 
 
-# parse_args leaves the parser unchanged, so one build serves every call
-_PARSER = _build_parser()
+# parsing leaves the parsers unchanged, so one build serves every call
+_PARSER, _SUBPARSERS = _build_parser()
 HANDLERS = {
     "twist": cmd_twist,
     "equiv": cmd_equiv,
@@ -284,8 +311,33 @@ HANDLERS = {
 }
 
 
+def _parse(argv):
+    """_PARSER.parse_args(argv), parsing a leading subcommand's arguments once.
+
+    Given the subcommand first, the top-level parser would only hand the
+    rest to that subcommand's parser and report what it leaves over, so
+    the subcommand's parser is called directly and the leftovers are
+    reported by the top-level parser, with its prefix. Any other command
+    line (none, -h, an unknown command, an option before the command)
+    goes through the full parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    return _run(_parse(argv))
+
+
+def _run(args) -> int:
+    """Call the subcommand's handler on parsed arguments; an input error exits 2."""
     try:
         return HANDLERS[args.command](args)
     except InputError as exc:

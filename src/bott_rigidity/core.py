@@ -156,6 +156,21 @@ class BottMatrix:
         self.n = n
 
     @classmethod
+    def _trusted(cls, rows) -> "BottMatrix":
+        """A matrix from rows the library built itself, with no check.
+
+        Safe only when rows is a square list of rows of ints (no bool)
+        that is already strictly upper triangular, as the constructor
+        would find it: the caller built it from checked ints and its shape
+        follows from how it was built. Public input goes through
+        BottMatrix(rows).
+        """
+        self = cls.__new__(cls)
+        self.rows = tuple(map(tuple, rows))
+        self.n = len(self.rows)
+        return self
+
+    @classmethod
     def zeros(cls, n: int) -> "BottMatrix":
         return cls([[0] * n for _ in range(n)])
 

@@ -132,6 +132,10 @@ def _trivialized(matrix: BottMatrix, m: int, mode: CoeffMode, basis=None):
     Returns (rewritten matrix, basis'). Row k of basis, when given, is the
     k-th generator of matrix in some fixed generators; basis' is then the
     same for the rewritten matrix (_moved_basis), and None otherwise.
+
+    The rewritten rows are ints computed from the matrix's own entries,
+    and the shift adds to entries (i, j) with i < m < j only, so they stay
+    strictly upper triangular and go in unchecked (BottMatrix._trusted).
     """
     n = matrix.n
     col = matrix.column(m)
@@ -145,14 +149,15 @@ def _trivialized(matrix: BottMatrix, m: int, mode: CoeffMode, basis=None):
             for i in range(m):
                 twice[i][j] += cmj * col[i]
     if all(x % 2 == 0 for row in twice for x in row):
-        out, denom = BottMatrix([[x // 2 for x in row] for row in twice]), 1
+        out, denom = BottMatrix._trusted([[x // 2 for x in row] for row in twice]), 1
     elif not mode.is_field:
         raise AssertionError("even twist form produced fractional entries")
     else:
         # entries are half-integers: multiplying the generator of stage i
         # by 2**i multiplies entry (i, j) by 2**(j - i)
-        out = BottMatrix([[x * 2 ** (j - i - 1) if j > i else 0 for j, x in enumerate(row)]
-                          for i, row in enumerate(twice)])
+        out = BottMatrix._trusted([[x * 2 ** (j - i - 1) if j > i else 0
+                                    for j, x in enumerate(row)]
+                                   for i, row in enumerate(twice)])
         denom = 2
     if basis is not None:
         basis = _moved_basis(basis, col, m, denom)

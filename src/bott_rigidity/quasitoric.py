@@ -105,15 +105,30 @@ def is_bott(rows):
 
 
 def to_bott_matrix(rows, sigma) -> BottMatrix:
-    """Reorder stages by sigma and subtract the identity."""
+    """Reorder stages by sigma and subtract the identity.
+
+    sigma is the caller's, so the result is checked by the constructor:
+    one that leaves a nonzero entry on or below the diagonal raises
+    ValueError.
+    """
     mat = normalize_characteristic(rows)
     if mat is None:
         raise ValueError("input is not normalizable to a unit diagonal")
-    return _reordered_bott(mat, sigma)
+    return BottMatrix(_reordered_rows(mat, sigma))
 
 
 def _reordered_bott(mat, sigma) -> BottMatrix:
-    """to_bott_matrix of a matrix that is already normalized."""
+    """to_bott_matrix of a normalized matrix, for sigma = _stage_order(mat).
+
+    Its entries are products of checked ints, and _stage_order asserts
+    that the support reordered by sigma is unitriangular, so the rows are
+    strictly upper triangular and go in unchecked (BottMatrix._trusted).
+    """
+    return BottMatrix._trusted(_reordered_rows(mat, sigma))
+
+
+def _reordered_rows(mat, sigma) -> list[list[int]]:
+    """The rows of mat with stage i moved to sigma[i], minus the identity."""
     n = len(mat)
     conj = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -121,7 +136,7 @@ def _reordered_bott(mat, sigma) -> BottMatrix:
             conj[sigma[i]][sigma[j]] = mat[i][j]
     for i in range(n):
         conj[i][i] -= 1
-    return BottMatrix(conj)
+    return conj
 
 
 def from_bott_matrix(matrix: BottMatrix):

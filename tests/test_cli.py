@@ -3,10 +3,11 @@
 import argparse
 import hashlib
 import json
+import sys
 
 import pytest
 
-from bott_rigidity import analysis, quasitoric
+from bott_rigidity import analysis, cli, quasitoric
 from bott_rigidity.checks import cycle_matrix
 from bott_rigidity.cli import CLASSIFY_GUARD, main
 from bott_rigidity.linalg import det_int
@@ -95,6 +96,26 @@ class TestTwist:
                                                 [[0, True], [0, 0]])])[0] == 2
         assert run(capsys, ["twist", str(tmp_path / "absent.json")])[0] == 2
         assert run(capsys, ["twist", write_json(tmp_path, "em.json", [])])[0] == 2
+        # unreadable input, or a result too large to print, is an input
+        # error on one line of stderr, and nothing reaches stdout
+        u16 = tmp_path / "u16.json"
+        u16.write_text("[1, 0]", encoding="utf-16")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        sevens = write_json(tmp_path, "big.json", [int("7" * 3000)] * 2)
+        cases = [["equiv", str(u16), sevens], ["equiv", str(deep), sevens],
+                 ["twist", str(deep)]]
+        if hasattr(sys, "get_int_max_str_digits"):
+            # the int-digit limit (4300 digits by default) meets a number
+            # read from the input, or the Pontrjagin invariants of 3000-digit entries
+            long = tmp_path / "long.json"
+            long.write_text("[" + "7" * 4301 + ", 0]", encoding="utf-8")
+            cases += [["equiv", str(long), sevens], ["equiv", sevens, sevens]]
+        for argv in cases:
+            for fmt in ("json", "csv", "text"):
+                rc, out, err = run(capsys, argv + ["--format", fmt])
+                assert (rc, out, err.count("\n")) == (2, "", 1), (argv, fmt)
+                assert err.endswith("\n")
 
     def test_bad_flag_values_exit_two(self, tmp_path, capsys):
         path = write_json(tmp_path, "m.json", [[0, 1], [0, 0]])
@@ -388,6 +409,36 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    # A, B name one-twist vector files, M a tower and C a characteristic matrix
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"],
+        ["equiv"], ["equiv", "A"], ["equiv", "A", "B"], ["equiv", "A", "B", "A"],
+        ["equiv", "A", "B", "-h"], ["equiv", "--", "A", "B"],
+        ["equiv", "A", "B", "--format", "text"],
+        ["classify", "--n", "x"], ["classify", "--n=3", "--bound=1"],
+        ["classify", "--n", "2", "--b", "1"],
+        ["--format", "json", "equiv", "A", "B"],
+        ["twist", "M", "--cert"], ["recognize", "C", "extra"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_direct_dispatch_matches_the_full_parser(self, tmp_path, capsys, argv):
+        # a leading subcommand is parsed by its own parser alone; the exit
+        # code and every byte written must be those of the full parser
+        files = {"A": [1, 1], "B": [1, 3], "M": [[0, 1, 1], [0, 0, -2], [0, 0, 0]],
+                 "C": HEIGHT_5_TOWER}
+        argv = [write_json(tmp_path, f"{a}.json", files[a]) if a in files else a
+                for a in argv]
+
+        def outcome(call):
+            try:
+                code = call()
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        direct = outcome(lambda: main(argv))
+        full = outcome(lambda: cli._run(cli._PARSER.parse_args(argv)))
+        assert direct == full
 
     def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
         # a good command line and then a usage error construct no parser

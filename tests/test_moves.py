@@ -137,6 +137,21 @@ class TestTrivializeStage:
             hits += 1
         assert hits >= 20
 
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_rewritten_towers_pass_the_validating_constructor(self, mode):
+        # the move builds its towers unchecked (BottMatrix._trusted)
+        rng = random.Random(13)
+        hits = 0
+        for _ in range(150):
+            mat = rand_bott(rng, rng.randint(2, 6))
+            for m in range(1, mat.n):
+                out = trivialize_stage(mat, m, mode)
+                if out is not None:
+                    assert out == BottMatrix(out.to_lists())
+                    assert all(type(x) is int for row in out.rows for x in row)
+                    hits += 1
+        assert hits >= 50
+
     def test_rational_mode_clears_denominators(self):
         # odd columns become removable over Q; the move rescales later
         # generators so the stored matrix stays integral

@@ -27,6 +27,7 @@ from bott_rigidity.checks import (
     rand_bott,
 )
 from bott_rigidity.linalg import det_int
+from bott_rigidity.quasitoric import _recognition, _reordered_bott
 
 IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 CYCLE_2 = [[1, 1], [2, 1]]
@@ -210,6 +211,25 @@ class TestRoundtrip:
             back = to_bott_matrix(scr, sigma)
             assert any(is_admissible(lam, pi) and conjugate(lam, pi) == back
                        for pi in permutations(range(n)))
+
+    def test_trusted_reorder_matches_validating_path(self):
+        # the CLI reorders by the stage order without a check; to_bott_matrix
+        # takes any sigma and checks, and both agree on every tower
+        rng = random.Random(61)
+        for n in range(1, 9):
+            for _ in range(10):
+                lam = rand_bott(rng, n, bound=3)
+                scr = scramble(rng, from_bott_matrix(lam))
+                mat, valid, sigma = _recognition(scr)
+                assert valid and sigma is not None
+                checked = to_bott_matrix(scr, sigma)
+                assert _reordered_bott(mat, sigma) == checked
+                assert checked == BottMatrix(checked.to_lists())
+
+    def test_to_bott_rejects_inadmissible_order(self):
+        rows = from_bott_matrix(BottMatrix([[0, 2], [0, 0]]))
+        with pytest.raises(ValueError, match="below or on the diagonal"):
+            to_bott_matrix(rows, (1, 0))
 
     def test_to_bott_rejects_zero_diagonal(self):
         with pytest.raises(ValueError):

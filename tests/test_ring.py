@@ -43,6 +43,17 @@ class TestBottMatrix:
         with pytest.raises(TypeError, match="not an integer"):
             inverse_pair_coefficient_condition(HIRZEBRUCH, [bad, 0])
 
+    def test_trusted_matches_validating_constructor(self):
+        # _trusted skips only checks that rows built from ints already pass;
+        # the public constructors keep them (test_non_integer_entries_rejected)
+        rng = random.Random(29)
+        for n in range(1, 9):
+            for _ in range(10):
+                rows = rand_bott(rng, n, bound=3).to_lists()
+                trusted, checked = BottMatrix._trusted(rows), BottMatrix(rows)
+                assert trusted == checked
+                assert (trusted.n, trusted.rows) == (checked.n, checked.rows)
+
     def test_helpers(self):
         m = BottMatrix([[0, 0, 2], [0, 0, 3], [0, 0, 0]])
         assert m == BottMatrix.from_last_column([2, 3])
