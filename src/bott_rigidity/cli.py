@@ -270,8 +270,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    def add(name: str, help: str) -> argparse.ArgumentParser:
-        subparsers[name] = sub.add_parser(name, parents=[common], help=help)
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        subparsers[name] = sub.add_parser(name, parents=[common], help=summary)
         return subparsers[name]
 
     p = add("twist", "greedy twist number of a tower matrix")
