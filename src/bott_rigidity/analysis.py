@@ -384,16 +384,26 @@ def _iso_moduli(a: BottMatrix, b: BottMatrix, mode: CoeffMode):
     if mode.is_unit(2):
         return (), ()
     n = a.n
-    entries = [t.entry(i, j) for t in (a, b) for j in range(n) for i in range(j)]
-    # a prime p gives a modulus only when p**n <= ODD_SCAN_LIMIT, so no
-    # entry is trial-divided past the largest such p
+    odd = {p for t in (a, b) for p in _odd_scan_primes(t) if not mode.is_unit(p)}
+    odd_moduli = sorted(q for p in odd for q in (p, p * p) if q ** n <= ODD_SCAN_LIMIT)
+    return (2, 4, *odd_moduli), (8,)
+
+
+# Towers whose odd scan primes stay cached. The iso_pairs benchmark draws
+# its pairs from 49 towers and the height-3 box [-2,2] holds 125, so a
+# scan over all pairs of a tower set factors each tower once.
+@lru_cache(maxsize=1024)
+def _odd_scan_primes(tower: BottMatrix) -> frozenset:
+    """The odd primes of tower's nonzero entries, up to the largest p with p**n <= ODD_SCAN_LIMIT.
+
+    No larger prime gives a modulus, so no entry is trial-divided past it.
+    """
+    n = tower.n
     largest = round(ODD_SCAN_LIMIT ** (1 / n)) if n else 1
     while largest ** n > ODD_SCAN_LIMIT:
         largest -= 1
-    odd = {p for e in entries if e for p in _prime_factors(e, largest)
-           if p != 2 and not mode.is_unit(p)}
-    odd_moduli = sorted(q for p in odd for q in (p, p * p) if q ** n <= ODD_SCAN_LIMIT)
-    return (2, 4, *odd_moduli), (8,)
+    return frozenset(p for row in tower.rows for e in row if e
+                     for p in _prime_factors(e, largest) if p != 2)
 
 
 def ring_isomorphic(a: BottMatrix, b: BottMatrix,
@@ -410,9 +420,20 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
     The cheap finite quotients run first: mod 2, mod 4, then (integer
     mode only) mod p and mod p^2 in ascending order for every odd prime p
     dividing a nonzero entry of either tower, keeping a modulus q only
-    while q^n <= ODD_SCAN_LIMIT. Then comes the witness search in both
+    while q^n <= ODD_SCAN_LIMIT. Each tower's odd primes are found once
+    and kept (_odd_scan_primes), since a scan over a set of towers meets
+    each tower in many pairs. Every quotient goes through
+    modular_iso_exists. Then comes the witness search in both
     directions, and mod 8 after a failed search. Over Z_(2) odd primes
     are units, so only 2, 4 and 8 apply; over Q no quotient applies.
+
+    Over Z the witness rows are ints throughout, and neither the search
+    nor the replay clears or coerces them: the linear algebra reads int
+    rows as they stand (linalg._cleared_rows), the last row's parameters
+    are solved by divmod (CoeffMode.unit_parameters), and the replay
+    builds its line elements unchecked (BottRing.line_element) before
+    taking every product in the ring engine. The witness det is a
+    Fraction in every mode.
 
     Soundness of a quotient mod q: H*(M; Z) is free, so H*(M; Z/q) is
     H*(M; Z) tensored with Z/q. A change of basis in GL_n(Z) therefore
@@ -501,14 +522,18 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
     (_echelon_remainder). A candidate is independent exactly when its
     remainder is nonzero, and that remainder is what gets pushed, so no
     rank is recomputed. The last row needs no echelon: c . w is zero
-    whenever w lies in the span of the placed rows.
+    whenever w lies in the span of the placed rows. target's columns are
+    read once per search, and u is the dot product of column k with the
+    placed rows.
     """
     n = host.n
+    cols = [target.column(k) for k in range(n)]
     rows: list = []
     echelon: list = []
 
     def rec(k):
-        u = tuple(sum(target.entry(i, k) * rows[i][c] for i in range(k)) for c in range(n))
+        col = cols[k]
+        u = tuple(sum(x * row[c] for x, row in zip(col, rows)) for c in range(n))
         if k == n - 1:
             cof = cofactor_vector(rows)
 
@@ -610,8 +635,14 @@ def _echelon_remainder(echelon, w):
     return piv, primitive_part(r)
 
 
+@lru_cache(maxsize=64)
 def _prime_of(modulus: int) -> int:
-    """The prime p with modulus = p^k for some k >= 1, else ValueError."""
+    """The prime p with modulus = p^k for some k >= 1, else ValueError.
+
+    Memoized: ring_isomorphic asks about the same few moduli on every
+    pair. A ValueError is raised afresh on every call, since lru_cache
+    keeps no exceptions.
+    """
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     primes = _prime_factors(modulus)
@@ -678,11 +709,15 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     The towers fall into few classes mod q (4 mod 2 and 16 mod 4 among
     the one-twist towers of [-3,3]^2), so the mod 2, 4, p and p^2 checks
     of ring_isomorphic mostly become lookups. Validation, the stage-count
-    comparison and n = 0 are answered before the memo.
+    comparison and n = 0 are answered before the memo. An int modulus
+    (type int) skips the entry check that a bool or a non-int fails, and
+    its prime is memoized (_prime_of), so a repeated call costs the tower
+    checks, the two _flat_mod keys and one lookup.
     """
     _check_tower(a, "a")
     _check_tower(b, "b")
-    integer_entries((modulus,), "modulus")
+    if type(modulus) is not int:
+        integer_entries((modulus,), "modulus")
     _prime_of(modulus)
     n = a.n
     if n != b.n:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -113,27 +114,37 @@ class CoeffMode(str, Enum):
         is a unit when it is odd: for odd c that fixes the parity of t and
         three values of that parity are returned; otherwise a must be odd
         and t = 0, 1 are returned. Over Q, the first t among 0, 1, -1, 2
-        with a + t c != 0, as a Fraction.
+        with a + t c != 0, as a Fraction. Over Z and Z_(2) an int a and c
+        (type int, so no bool) are solved by divmod and parity, with no
+        Fraction built; the parameters are ints either way.
         """
         if self is CoeffMode.RATIONAL:
             return [Fraction(t) for t in (0, 1, -1, 2) if a + t * c != 0][:1]
+        ints = type(a) is int and type(c) is int
         if self is CoeffMode.INTEGER:
             out = []
             for target in (1, -1):
-                if c != 0:
+                if c == 0:
+                    if a == target:
+                        out += [0, 1]
+                elif ints:
+                    t, r = divmod(target - a, c)
+                    if r == 0:
+                        out.append(t)
+                else:
                     t = Fraction(target - a) / c
                     if t.denominator == 1:
                         out.append(int(t))
-                elif a == target:
-                    out += [0, 1]
             return out
-        a, c = Fraction(a), Fraction(c)
-        if a.denominator != 1 or c.denominator != 1:
-            raise AssertionError("2-local family rows should be integral")
-        if c.numerator % 2 == 1:
-            t0 = (1 - a.numerator) % 2
+        if not ints:
+            a, c = Fraction(a), Fraction(c)
+            if a.denominator != 1 or c.denominator != 1:
+                raise AssertionError("2-local family rows should be integral")
+            a, c = a.numerator, c.numerator
+        if c % 2 == 1:
+            t0 = (1 - a) % 2
             return [t0, t0 + 2, t0 - 2]
-        return [0, 1] if a.numerator % 2 == 1 else []
+        return [0, 1] if a % 2 == 1 else []
 
 
 class BottMatrix:
@@ -215,6 +226,12 @@ class BottMatrix:
 
     def __repr__(self):
         return f"BottMatrix({self.to_lists()})"
+
+
+@lru_cache(maxsize=64)
+def _singletons(n: int) -> tuple:
+    """The degree-2 monomials {0}, ..., {n - 1} as frozensets, shared by every ring of height n."""
+    return tuple(frozenset([i]) for i in range(n))
 
 
 def _normalize_exponents(exps: Counter) -> Counter:
@@ -371,10 +388,19 @@ class BottRing:
         return RingElement(self, {frozenset([i]): 1})
 
     def line_element(self, coeffs) -> RingElement:
-        """Degree-2 class sum coeffs[i] * x_i."""
+        """Degree-2 class sum coeffs[i] * x_i.
+
+        Over Z a list of ints alone (type int, so no bool) already holds
+        coefficients of the mode, so the element is built unchecked
+        (RingElement._closed) on the singleton monomials of height n
+        (_singletons). Every other input goes through the coercing
+        constructor, which rejects a bool or a non-integral value.
+        """
         coeffs = list(coeffs)
         if len(coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
+        if self.mode is CoeffMode.INTEGER and all(type(c) is int for c in coeffs):
+            return RingElement._closed(self, dict(zip(_singletons(self.n), coeffs)))
         return RingElement(self, {frozenset([i]): c for i, c in enumerate(coeffs)})
 
     def twist_form(self, j: int) -> RingElement:

@@ -26,11 +26,16 @@ def _cleared_rows(rows) -> tuple[list[list[int]], int]:
     integer rows is scale times the original one, while ranks and the
     solution sets of the scaled equations are unchanged. Entries may be
     ints or Fractions; both carry numerator and denominator, so an int
-    entry is never converted.
+    entry is never converted. A row of ints alone (type int, so no bool)
+    has multiplier 1 and is copied as it stands; every row comes back as
+    a new list, which the in-place eliminations may overwrite.
     """
     out = []
     scale = 1
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         mult = 1
         for x in row:
             mult = mult * x.denominator // gcd(mult, x.denominator)
@@ -100,7 +105,9 @@ def cofactor_vector(rows) -> list:
     runs about 14 % slower with the eliminations. At heights 5 to 8
     neither shows beside the row solver. c is integral when every row
     is, and otherwise Fractions over the clearing scale. It is zero
-    exactly when the rows are dependent.
+    exactly when the rows are dependent. Rows of ints, as the witness
+    search over Z places them, are read as they stand (_cleared_rows)
+    and left unchanged.
     """
     ints, scale = _cleared_rows(rows)
     n = len(ints) + 1

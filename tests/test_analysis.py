@@ -489,6 +489,46 @@ class TestRingIsomorphic:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "9d29f387815ee79db66d0f736710344ac78b890ece90cc66ffb0463fd9afed28"
 
+    @staticmethod
+    def _report_line(a, b, mode, rep):
+        # verdict, reason, moduli and witness, with the type of every row
+        # entry and of det spelled out
+        w = rep.witness
+        if w is not None:
+            w = (w["direction"], w["rows"], [[type(x).__name__ for x in r] for r in w["rows"]],
+                 w["det"], type(w["det"]).__name__)
+        return repr((a.to_lists(), b.to_lists(), mode.value, rep.isomorphic, rep.reason,
+                     rep.moduli_checked, w))
+
+    @pytest.mark.parametrize("mode, bound, want", [
+        (CoeffMode.INTEGER, 3, "99380f81c2e51491659bda628615cf331d433ac4eda99445383737b35c0532ca"),
+        (CoeffMode.TWO_LOCAL, 3, "6d00fc3f6671813f346d32556ccc5769dc490a0a7457eb4f09c810243b4e1b01"),
+        (CoeffMode.RATIONAL, 2, "61926543d5b48e5a4e820815c41a0340b8c00694a95bb11e7362d556b00b9bbf"),
+    ])
+    def test_pinned_reports_on_the_benchmark_pairs(self, mode, bound, want):
+        # the 1225 unordered one-twist pairs of [-3,3]^2 (the iso_pairs
+        # benchmark inputs) over Z and Z_(2), and the 325 of [-2,2]^2 over Q
+        vecs = list(product(range(-bound, bound + 1), repeat=2))
+        pairs = [(BottMatrix.from_last_column(list(x)), BottMatrix.from_last_column(list(y)))
+                 for i, x in enumerate(vecs) for y in vecs[i:]]
+        lines = [self._report_line(a, b, mode, ring_isomorphic(a, b, mode)) for a, b in pairs]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_pinned_reports_at_heights_zero_and_one(self, mode):
+        # height 0 still runs mod 2 and mod 4 over Z and Z_(2); over Q the
+        # height-1 witness row is a Fraction. det is a Fraction in every mode.
+        moduli = () if mode is CoeffMode.RATIONAL else (2, 4)
+        one = Fraction(1) if mode is CoeffMode.RATIONAL else -1
+        for n, rows, det in ((0, [], 1), (1, [[one]], one)):
+            z = BottMatrix.zeros(n)
+            rep = ring_isomorphic(z, z, mode)
+            assert (rep.isomorphic, rep.reason, rep.moduli_checked) == (
+                True, "witness verified", moduli)
+            assert rep.witness == {"direction": "second_into_first", "rows": rows, "det": det}
+            assert [type(x) for r in rep.witness["rows"] for x in r] == [type(one)] * n
+            assert type(rep.witness["det"]) is Fraction
+
     def test_answers_do_not_depend_on_the_caches(self):
         # each call on empty caches, then every call again on warm caches
         # in shuffled order; the report must not change in any mode. The

@@ -12,7 +12,9 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from bott_rigidity import linalg
 from bott_rigidity.linalg import (
+    _cleared_rows,
     cofactor_vector,
     det_fraction,
     det_int,
@@ -158,6 +160,71 @@ class TestCofactorVector:
                 w = [entry() for _ in range(n)]
                 assert sum(x * y for x, y in zip(c, w)) == det_fraction(rows + [w])
         assert dependent > 50
+
+
+def _clearing_route(rows):
+    # every row scaled by the lcm of its denominators, int rows included
+    out, scale = [], 1
+    for row in rows:
+        mult = 1
+        for x in row:
+            mult = mult * x.denominator // gcd(mult, x.denominator)
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+        scale *= mult
+    return out, scale
+
+
+def _typed(value):
+    # a value with the type of every entry, nested lists and tuples included
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(x) for x in value]
+    return type(value), value
+
+
+class TestClearedRows:
+    """A row of ints passes through as a copy; every result matches the
+    clearing route, value and type."""
+
+    @staticmethod
+    def _seeded_rows(rng, kind):
+        def entry():
+            if kind == "int" or (kind == "mixed" and rng.random() < 0.6):
+                return rng.randint(-6, 6)
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+        n = rng.randint(1, 5)
+        return n, [[entry() for _ in range(n)] for _ in range(n)]
+
+    def test_int_rows_are_copied_unmodified(self):
+        rng = random.Random(131)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            before = [list(r) for r in rows]
+            ints, scale = _cleared_rows(rows)
+            assert (ints, scale) == (before, 1)
+            assert all(a is not b for a, b in zip(ints, rows))
+            det_fraction(rows)
+            rank_fraction(rows)
+            cofactor_vector(rows[:-1])
+            assert rows == before
+
+    def test_bool_rows_take_the_clearing_route(self):
+        ints, scale = _cleared_rows([[True, 0], [False, 2]])
+        assert _typed(ints) == _typed([[1, 0], [0, 2]]) and scale == 1
+
+    def test_results_match_the_clearing_route(self, monkeypatch):
+        rng = random.Random(137)
+        cases = [self._seeded_rows(rng, kind) for kind in ("int", "fraction", "mixed")
+                 for _ in range(150)]
+
+        def results():
+            return [(_cleared_rows(rows), det_fraction(rows), rank_fraction(rows),
+                     cofactor_vector(rows[:-1])) for _, rows in cases]
+
+        got = results()
+        monkeypatch.setattr(linalg, "_cleared_rows", _clearing_route)
+        assert _typed(got) == _typed(results())
 
 
 class TestRank:

@@ -212,6 +212,36 @@ class TestClosedOperations:
             rz.generator(0) * rq.line_element([0, Fraction(1, 2)])
 
 
+class TestIntegerLineElement:
+    """Over Z an all-int line element is built unchecked; it must equal the
+    element the coercing constructor builds, coefficient types included."""
+
+    @staticmethod
+    def _typed(elem):
+        return [(m, c, type(c)) for m, c in elem.terms.items()]
+
+    def test_matches_constructor_path(self):
+        rng = random.Random(139)
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            ring = BottRing(rand_bott(rng, n), CoeffMode.INTEGER)
+            coeffs = [rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+            built = RingElement(ring, {frozenset([i]): c for i, c in enumerate(coeffs)})
+            assert self._typed(ring.line_element(coeffs)) == self._typed(built)
+            assert self._typed(ring.line_element(tuple(coeffs))) == self._typed(built)
+
+    def test_other_inputs_are_coerced(self):
+        ring = BottRing(HIRZEBRUCH, CoeffMode.INTEGER)
+        with pytest.raises(TypeError):
+            ring.line_element([True, 0])
+        with pytest.raises(ValueError):
+            ring.line_element([Fraction(1, 2), 0])
+        assert self._typed(ring.line_element([Fraction(2, 1), 0])) == [
+            (frozenset([0]), 2, int)]
+        with pytest.raises(ValueError):
+            ring.line_element([1, 2, 3])
+
+
 class TestCoeffRing:
     # each CoeffMode member is the coefficient ring it names
     def test_integer_mode(self):
@@ -283,6 +313,17 @@ class TestCoeffRing:
         assert q.unit_parameters(Fraction(0), Fraction(0)) == []
         assert all(type(t) is int for t in z.unit_parameters(Fraction(3), Fraction(2)))
         assert all(type(t) is Fraction for t in q.unit_parameters(Fraction(1), Fraction(1)))
+
+    @pytest.mark.parametrize("mode", [CoeffMode.INTEGER, CoeffMode.TWO_LOCAL])
+    def test_int_unit_parameters_match_fraction_route(self, mode):
+        # int a and c are solved by divmod and parity, Fractions through
+        # Fraction division; both give the same int parameters
+        for a in range(-6, 7):
+            for c in range(-6, 7):
+                got = mode.unit_parameters(a, c)
+                want = mode.unit_parameters(Fraction(a), Fraction(c))
+                assert [(t, type(t)) for t in got] == [(t, type(t)) for t in want], (a, c)
+                assert all(mode.is_unit(a + t * c) for t in got), (a, c)
 
     def test_values_name_the_members(self):
         assert BottRing(HIRZEBRUCH, "z2local").mode is CoeffMode.TWO_LOCAL
