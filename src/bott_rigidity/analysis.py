@@ -709,15 +709,12 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     The towers fall into few classes mod q (4 mod 2 and 16 mod 4 among
     the one-twist towers of [-3,3]^2), so the mod 2, 4, p and p^2 checks
     of ring_isomorphic mostly become lookups. Validation, the stage-count
-    comparison and n = 0 are answered before the memo. An int modulus
-    (type int) skips the entry check that a bool or a non-int fails, and
-    its prime is memoized (_prime_of), so a repeated call costs the tower
-    checks, the two _flat_mod keys and one lookup.
+    comparison and n = 0 are answered before the memo, and the prime of
+    the modulus is memoized (_prime_of).
     """
     _check_tower(a, "a")
     _check_tower(b, "b")
-    if type(modulus) is not int:
-        integer_entries((modulus,), "modulus")
+    integer_entries((modulus,), "modulus")
     _prime_of(modulus)
     n = a.n
     if n != b.n:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 
@@ -114,29 +113,27 @@ class CoeffMode(str, Enum):
         is a unit when it is odd: for odd c that fixes the parity of t and
         three values of that parity are returned; otherwise a must be odd
         and t = 0, 1 are returned. Over Q, the first t among 0, 1, -1, 2
-        with a + t c != 0, as a Fraction. Over Z and Z_(2) an int a and c
-        (type int, so no bool) are solved by divmod and parity, with no
-        Fraction built; the parameters are ints either way.
+        with a + t c != 0, as a Fraction. Over Z, t is solved by divmod,
+        whose quotient is an int for int and Fraction inputs alike and
+        whose remainder is 0 exactly when t is an integer. Over Z_(2) an
+        int a and c (type int, so no bool) are read by parity as they
+        stand. No Fraction is built for int inputs, and the parameters are
+        ints either way.
         """
         if self is CoeffMode.RATIONAL:
             return [Fraction(t) for t in (0, 1, -1, 2) if a + t * c != 0][:1]
-        ints = type(a) is int and type(c) is int
         if self is CoeffMode.INTEGER:
             out = []
             for target in (1, -1):
                 if c == 0:
                     if a == target:
                         out += [0, 1]
-                elif ints:
+                else:
                     t, r = divmod(target - a, c)
                     if r == 0:
                         out.append(t)
-                else:
-                    t = Fraction(target - a) / c
-                    if t.denominator == 1:
-                        out.append(int(t))
             return out
-        if not ints:
+        if not (type(a) is int and type(c) is int):
             a, c = Fraction(a), Fraction(c)
             if a.denominator != 1 or c.denominator != 1:
                 raise AssertionError("2-local family rows should be integral")
@@ -226,12 +223,6 @@ class BottMatrix:
 
     def __repr__(self):
         return f"BottMatrix({self.to_lists()})"
-
-
-@lru_cache(maxsize=64)
-def _singletons(n: int) -> tuple:
-    """The degree-2 monomials {0}, ..., {n - 1} as frozensets, shared by every ring of height n."""
-    return tuple(frozenset([i]) for i in range(n))
 
 
 def _normalize_exponents(exps: Counter) -> Counter:
@@ -392,16 +383,16 @@ class BottRing:
 
         Over Z a list of ints alone (type int, so no bool) already holds
         coefficients of the mode, so the element is built unchecked
-        (RingElement._closed) on the singleton monomials of height n
-        (_singletons). Every other input goes through the coercing
+        (RingElement._closed). Every other input goes through the coercing
         constructor, which rejects a bool or a non-integral value.
         """
         coeffs = list(coeffs)
         if len(coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
+        terms = {frozenset([i]): c for i, c in enumerate(coeffs)}
         if self.mode is CoeffMode.INTEGER and all(type(c) is int for c in coeffs):
-            return RingElement._closed(self, dict(zip(_singletons(self.n), coeffs)))
-        return RingElement(self, {frozenset([i]): c for i, c in enumerate(coeffs)})
+            return RingElement._closed(self, terms)
+        return RingElement(self, terms)
 
     def twist_form(self, j: int) -> RingElement:
         """f_j as a ring element."""

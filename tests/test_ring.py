@@ -314,16 +314,44 @@ class TestCoeffRing:
         assert all(type(t) is int for t in z.unit_parameters(Fraction(3), Fraction(2)))
         assert all(type(t) is Fraction for t in q.unit_parameters(Fraction(1), Fraction(1)))
 
+    @staticmethod
+    def _fraction_route_z(a, c):
+        # the Z parameters by Fraction division, as unit_parameters once solved them
+        out = []
+        for target in (1, -1):
+            if c != 0:
+                t = Fraction(target - a) / c
+                if t.denominator == 1:
+                    out.append(int(t))
+            elif a == target:
+                out += [0, 1]
+        return out
+
     @pytest.mark.parametrize("mode", [CoeffMode.INTEGER, CoeffMode.TWO_LOCAL])
     def test_int_unit_parameters_match_fraction_route(self, mode):
-        # int a and c are solved by divmod and parity, Fractions through
-        # Fraction division; both give the same int parameters
+        # int a and c are solved by divmod and parity, with no Fraction
+        # built; they give the same int parameters as the Fraction route
         for a in range(-6, 7):
             for c in range(-6, 7):
                 got = mode.unit_parameters(a, c)
                 want = mode.unit_parameters(Fraction(a), Fraction(c))
                 assert [(t, type(t)) for t in got] == [(t, type(t)) for t in want], (a, c)
                 assert all(mode.is_unit(a + t * c) for t in got), (a, c)
+                if mode is CoeffMode.INTEGER:
+                    ref = self._fraction_route_z(a, c)
+                    assert [(t, type(t)) for t in got] == [(t, type(t)) for t in ref], (a, c)
+
+    def test_z_unit_parameters_by_divmod_on_fractions(self):
+        # divmod on Fractions, and on an int mixed with a Fraction, has an
+        # int quotient and a zero remainder exactly when the parameter is
+        # an integer, so non-integral inputs agree with Fraction division
+        z = CoeffMode.INTEGER
+        values = [Fraction(k, d) for k in range(-6, 7) for d in (1, 2, 3)] + list(range(-3, 4))
+        for a in values:
+            for c in values:
+                got = z.unit_parameters(a, c)
+                ref = self._fraction_route_z(a, c)
+                assert [(t, type(t)) for t in got] == [(t, type(t)) for t in ref], (a, c)
 
     def test_values_name_the_members(self):
         assert BottRing(HIRZEBRUCH, "z2local").mode is CoeffMode.TWO_LOCAL
