@@ -35,7 +35,6 @@ from .analysis import (
     ComplexityReport,
     IsoReport,
     TwistReport,
-    complexity_oracle,
     find_reducible_stage,
     modular_iso_exists,
     ring_isomorphic,
@@ -66,7 +65,7 @@ __all__ = [
     "admissible_permutations", "conjugate", "is_admissible", "normalize_last_twist",
     "retwist", "stage_fibration_trivial", "trivialize_stage",
     "line_product_pairs", "line_square_pairs", "square_zero_lines",
-    "ComplexityReport", "IsoReport", "TwistReport", "complexity_oracle",
+    "ComplexityReport", "IsoReport", "TwistReport",
     "find_reducible_stage", "modular_iso_exists", "ring_isomorphic", "twist_number",
     "EquivalenceWitness", "OneTwistClass", "classify", "diffeo_equivalent",
     "integral_trivial", "pontrjagin_invariant", "rational_trivial",

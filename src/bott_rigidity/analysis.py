@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import isqrt, prod
 from operator import mul
 
 from .core import BottMatrix, BottRing, CoeffMode, integer_entries
@@ -355,25 +355,6 @@ ODD_SCAN_LIMIT = 8 ** 4
 FAMILY_SAMPLE = 3
 
 
-def _prime_factors(value: int, largest: int | None = None) -> list:
-    """Distinct primes dividing a nonzero integer, ascending, by trial division.
-
-    With largest given, only the primes up to largest are returned, and
-    trial division stops there: what is left over then has only larger
-    prime factors.
-    """
-    value, primes, d = abs(value), [], 2
-    while d * d <= value and (largest is None or d <= largest):
-        if value % d == 0:
-            primes.append(d)
-            while value % d == 0:
-                value //= d
-        d += 1
-    if value > 1 and (largest is None or value <= largest):
-        primes.append(value)
-    return primes
-
-
 def _iso_moduli(a: BottMatrix, b: BottMatrix, mode: CoeffMode):
     """Moduli to check before the witness search and after it, in order.
 
@@ -391,19 +372,20 @@ def _iso_moduli(a: BottMatrix, b: BottMatrix, mode: CoeffMode):
 
 # Towers whose odd scan primes stay cached. The iso_pairs benchmark draws
 # its pairs from 49 towers and the height-3 box [-2,2] holds 125, so a
-# scan over all pairs of a tower set factors each tower once.
+# scan over all pairs of a tower set tests each tower once.
 @lru_cache(maxsize=1024)
 def _odd_scan_primes(tower: BottMatrix) -> frozenset:
-    """The odd primes of tower's nonzero entries, up to the largest p with p**n <= ODD_SCAN_LIMIT.
+    """The odd primes p with p**n <= ODD_SCAN_LIMIT that divide a nonzero entry of tower.
 
-    No larger prime gives a modulus, so no entry is trial-divided past it.
+    No larger prime gives a modulus. A tower with a nonzero entry has
+    n >= 2, so each such p is at most isqrt(ODD_SCAN_LIMIT): only those
+    odd primes are tried, each by divisibility, and no entry is factored.
     """
     n = tower.n
-    largest = round(ODD_SCAN_LIMIT ** (1 / n)) if n else 1
-    while largest ** n > ODD_SCAN_LIMIT:
-        largest -= 1
-    return frozenset(p for row in tower.rows for e in row if e
-                     for p in _prime_factors(e, largest) if p != 2)
+    entries = {e for row in tower.rows for e in row if e}
+    return frozenset(p for p in range(3, isqrt(ODD_SCAN_LIMIT) + 1, 2)
+                     if p ** n <= ODD_SCAN_LIMIT and any(e % p == 0 for e in entries)
+                     and all(p % d for d in range(3, p, 2)))
 
 
 def ring_isomorphic(a: BottMatrix, b: BottMatrix,
@@ -504,16 +486,17 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
     Returns the rows of a unit change of basis, or None when none was
     found. Row k solves w^2 = u w for u the image of target's twist form;
     each equation is solved once per value of (host, u, mode) and kept
-    (_row_equation). Every candidate list is built by _members: a row
-    above the last tries the members of its affine families at the
-    parameters |t| <= FAMILY_SAMPLE (_sampled_rows). At the last row the
-    determinant is linear in the candidate w: det(rows + [w]) = c . w for
-    the cofactor vector c of the placed rows (cofactor_vector), computed
-    once per visit. The families reaching it are resolved exactly against
-    the placed rows by the two dot products c . w0 and c . step
-    (CoeffMode.unit_parameters), and a candidate is accepted when c . w is
-    a unit. None proves nothing: for n >= 2, row 0 always samples the
-    family of the square-zero line e_0.
+    with its sampled members in one entry (_row_equation). Every
+    candidate list is built by _members: a row above the last tries the
+    sampled members, those of its affine families at the parameters
+    |t| <= FAMILY_SAMPLE. At the last row the determinant is linear in
+    the candidate w: det(rows + [w]) = c . w for the cofactor vector c of
+    the placed rows (cofactor_vector), computed once per visit. The
+    families reaching it are resolved exactly against the placed rows by
+    the two dot products c . w0 and c . step (CoeffMode.unit_parameters),
+    and a candidate is accepted when c . w is a unit. None proves
+    nothing: for n >= 2, row 0 always samples the family of the
+    square-zero line e_0.
 
     A candidate above the last row is placed only when it is independent
     over Q of the rows above it. The search carries an echelon of those
@@ -543,13 +526,13 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
             def params(w0, step):
                 return mode.unit_parameters(det(w0), det(step))
 
-            for w in _members(*_row_equation(host, u, mode), params):
+            for w in _members(*_row_equation(host, u, mode)[:2], params):
                 value = det(w)
                 if value and mode.is_unit(value):
                     rows.append(w)
                     return True
             return False
-        for w in _sampled_rows(host, u, mode):
+        for w in _row_equation(host, u, mode)[2]:
             pivot_row = _echelon_remainder(echelon, w)
             if pivot_row is None:
                 continue
@@ -586,31 +569,27 @@ def _members(finite, families, params) -> tuple:
     return tuple(cands)
 
 
-# Solutions of w^2 = u w for every row of the witness search, as
-# (host, u, mode) keys compared by value. Over Z the 1225 one-twist pairs
-# of [-3,3]^2 touch 339 keys and 40 passes of the iso_pairs benchmark 564,
-# so 1024 keys hold them all; over Q the pairs touch 2,272, none twice.
+# Solutions of w^2 = u w and their sampled members for every row of the
+# witness search, as (host, u, mode) keys compared by value. Over Z the
+# 1225 one-twist pairs of [-3,3]^2 touch 339 keys and 40 passes of the
+# iso_pairs benchmark 564, so 1024 keys hold them all; over Q the pairs
+# touch 2,272, none twice.
 @lru_cache(maxsize=1024)
 def _row_equation(host: BottMatrix, u: tuple, mode: CoeffMode) -> tuple:
-    """(finite, families): the exact solutions of w^2 = u w for one row of _dfs_direction.
+    """(finite, families, sampled) for one row of _dfs_direction.
 
-    They are kept as twisted_row_solutions returns them, a tuple of
-    tuples, so no caller can change a shared entry. The solutions depend
-    on the value of u, not on the types of its entries (RowSolutions), so
-    an int u and an equal Fraction u share one entry.
+    finite and families are the exact solutions of w^2 = u w as
+    twisted_row_solutions returns them; sampled is their members at the
+    parameters |t| <= FAMILY_SAMPLE (_members), the candidates of a row
+    above the last. Every part is a tuple of tuples, so no caller can
+    change a shared entry. The solutions depend on the value of u, not on
+    the types of its entries (RowSolutions), so an int u and an equal
+    Fraction u share one entry.
     """
-    return twisted_row_solutions(host, u, mode)
-
-
-# Candidates of the rows above the last, sampled only for the keys such a
-# row reads. The 1225 one-twist pairs of [-3,3]^2 sample 49 keys in each
-# mode, one per tower at u = 0, of the 339 they solve over Z and 2,272
-# over Q.
-@lru_cache(maxsize=1024)
-def _sampled_rows(host: BottMatrix, u: tuple, mode: CoeffMode) -> tuple:
-    """The members of _row_equation(host, u, mode) at the parameters |t| <= FAMILY_SAMPLE (_members)."""
-    return _members(*_row_equation(host, u, mode),
-                    lambda w0, step: range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1))
+    finite, families = twisted_row_solutions(host, u, mode)
+    sampled = _members(finite, families,
+                       lambda w0, step: range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1))
+    return finite, families, sampled
 
 
 def _echelon_remainder(echelon, w):
@@ -639,16 +618,24 @@ def _echelon_remainder(echelon, w):
 def _prime_of(modulus: int) -> int:
     """The prime p with modulus = p^k for some k >= 1, else ValueError.
 
+    p is the least d <= sqrt(modulus) dividing modulus, or modulus itself
+    when there is none, and modulus must then be a power of p. Trial
+    division stops at the least divisor, so a power of a small prime is
+    answered at once, and no call divides past sqrt(modulus).
+
     Memoized: ring_isomorphic asks about the same few moduli on every
     pair. A ValueError is raised afresh on every call, since lru_cache
     keeps no exceptions.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
-    primes = _prime_factors(modulus)
-    if len(primes) != 1:
+    p = next((d for d in range(2, isqrt(modulus) + 1) if modulus % d == 0), modulus)
+    rest = modulus
+    while rest % p == 0:
+        rest //= p
+    if rest != 1:
         raise ValueError(f"modulus must be a prime power, got {modulus}")
-    return primes[0]
+    return p
 
 
 def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:

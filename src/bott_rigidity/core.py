@@ -68,9 +68,14 @@ class CoeffMode(str, Enum):
         return True
 
     def coerce(self, value):
-        """value as a coefficient: an int over Z, a Fraction otherwise."""
-        if isinstance(value, bool):
-            raise TypeError("bool is not a ring coefficient")
+        """value as a coefficient: an int over Z, a Fraction otherwise.
+
+        Only an int (no bool) or a Fraction is a coefficient. Anything else
+        raises TypeError, even when Fraction() would read it (1.0, "1/2"),
+        as integer_entries does at the library's other boundaries.
+        """
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{value!r} is not a ring coefficient: expected an int or a Fraction")
         if self is CoeffMode.INTEGER and isinstance(value, int):
             return value
         f = Fraction(value)
@@ -115,10 +120,9 @@ class CoeffMode(str, Enum):
         and t = 0, 1 are returned. Over Q, the first t among 0, 1, -1, 2
         with a + t c != 0, as a Fraction. Over Z, t is solved by divmod,
         whose quotient is an int for int and Fraction inputs alike and
-        whose remainder is 0 exactly when t is an integer. Over Z_(2) an
-        int a and c (type int, so no bool) are read by parity as they
-        stand. No Fraction is built for int inputs, and the parameters are
-        ints either way.
+        whose remainder is 0 exactly when t is an integer. Over Z_(2), ints
+        and Fractions alike are read through .denominator and .numerator,
+        so no Fraction is built, and the parameters are ints in both modes.
         """
         if self is CoeffMode.RATIONAL:
             return [Fraction(t) for t in (0, 1, -1, 2) if a + t * c != 0][:1]
@@ -133,11 +137,9 @@ class CoeffMode(str, Enum):
                     if r == 0:
                         out.append(t)
             return out
-        if not (type(a) is int and type(c) is int):
-            a, c = Fraction(a), Fraction(c)
-            if a.denominator != 1 or c.denominator != 1:
-                raise AssertionError("2-local family rows should be integral")
-            a, c = a.numerator, c.numerator
+        if a.denominator != 1 or c.denominator != 1:
+            raise AssertionError("2-local family rows should be integral")
+        a, c = a.numerator, c.numerator
         if c % 2 == 1:
             t0 = (1 - a) % 2
             return [t0, t0 + 2, t0 - 2]
@@ -384,7 +386,8 @@ class BottRing:
         Over Z a list of ints alone (type int, so no bool) already holds
         coefficients of the mode, so the element is built unchecked
         (RingElement._closed). Every other input goes through the coercing
-        constructor, which rejects a bool or a non-integral value.
+        constructor (CoeffMode.coerce), which rejects a bool, any value
+        that is not an int or a Fraction, and a value outside the mode.
         """
         coeffs = list(coeffs)
         if len(coeffs) != self.n:
@@ -506,10 +509,12 @@ def inverse_pair_coefficient_condition(matrix: BottMatrix, alpha) -> bool:
 def pontrjagin_one_twist(alpha, mode: CoeffMode = CoeffMode.INTEGER) -> RingElement:
     """Total Pontrjagin class 1 + alpha^2 of a one-twist tower over a product base.
 
-    alpha lists the twist coefficients over the trivial tower of height
-    len(alpha); the class lives in that base ring, where every generator
-    squares to zero.
+    alpha lists the twist coefficients (ints, no bool) over the trivial
+    tower of height len(alpha), and is read once, so any iterable works;
+    the class lives in that base ring, where every generator squares to
+    zero.
     """
-    base = BottRing(BottMatrix.zeros(len(list(alpha))), mode)
+    alpha = integer_entries(alpha, "twist vector")
+    base = BottRing(BottMatrix.zeros(len(alpha)), mode)
     a = base.line_element(alpha)
     return base.one() + a * a

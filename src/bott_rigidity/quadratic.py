@@ -43,18 +43,12 @@ def line_product_pairs(matrix: BottMatrix, z, w) -> dict:
 
 
 def line_square_pairs(matrix: BottMatrix, z) -> dict:
-    """Coefficients of (sum z_i x_i)^2 on the pairs x_i x_j, i < j."""
-    out = {}
-    n = matrix.n
-    if len(z) != n:
-        raise ValueError(f"expected {n} coefficients, got {len(z)}")
-    for j in range(n):
-        zj = z[j]
-        for i in range(j):
-            c = 2 * z[i] * zj + matrix.entry(i, j) * zj * zj
-            if c:
-                out[(i, j)] = c
-    return out
+    """Coefficients of (sum z_i x_i)^2 on the pairs x_i x_j, i < j.
+
+    The square is the product of z with itself (line_product_pairs), with
+    the same pairs in the same order and the same length check.
+    """
+    return line_product_pairs(matrix, z, z)
 
 
 def _pinned_line(matrix: BottMatrix, m: int) -> tuple:

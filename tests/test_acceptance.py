@@ -16,7 +16,6 @@ from bott_rigidity import (
     BottRing,
     CoeffMode,
     admissible_permutations,
-    complexity_oracle,
     conjugate,
     diffeo_equivalent,
     from_bott_matrix,
@@ -31,6 +30,7 @@ from bott_rigidity import (
     validate_characteristic,
     whitney_sum_trivial,
 )
+from bott_rigidity.analysis import complexity_oracle
 from bott_rigidity.checks import bott_by_exhaustive_permutations
 from bott_rigidity.cli import main
 from bott_rigidity.linalg import det_fraction

@@ -17,7 +17,6 @@ from bott_rigidity import (
     BottMatrix,
     BottRing,
     CoeffMode,
-    complexity_oracle,
     diffeo_equivalent,
     find_reducible_stage,
     line_square_pairs,
@@ -27,6 +26,7 @@ from bott_rigidity import (
     twist_number,
 )
 from bott_rigidity import analysis, moves, quadratic
+from bott_rigidity.analysis import complexity_oracle
 from bott_rigidity.checks import even_block_forces_even_det, rand_bott
 from bott_rigidity.linalg import det_fraction, det_int, maximal_minors_gcd, rank_fraction
 from bott_rigidity.quadratic import square_zero_lines
@@ -565,35 +565,26 @@ class TestRingIsomorphic:
     def test_row_equation_keyed_on_values(self):
         # Fraction(2) == 2 and both hash alike, and the solutions take
         # their entry types from value and mode alone, so an int u and an
-        # equal Fraction u share one entry in each cache; the solutions
-        # and the sampled rows are tuples all the way down, so no caller
-        # can change them
+        # equal Fraction u share one entry; the solutions and the sampled
+        # rows are tuples all the way down, so no caller can change them
         _clear_caches()
         host = BottMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+        entries = []
         for u in ((2, 0, 1), (Fraction(2), 0, Fraction(1))):
             entry = analysis._row_equation(host, u, CoeffMode.RATIONAL)
-            sampled = analysis._sampled_rows(host, u, CoeffMode.RATIONAL)
-            finite, families = entry
-            assert sampled and isinstance(entry, tuple) and isinstance(sampled, tuple)
+            finite, families, sampled = entry
+            assert sampled and isinstance(entry, tuple)
             assert all(isinstance(part, tuple) for part in entry)
             assert all(isinstance(w, tuple) for w in finite + sampled)
             assert all(isinstance(w0, tuple) and isinstance(step, tuple)
                        for w0, step in families)
-        for cache in (analysis._row_equation, analysis._sampled_rows):
-            info = cache.cache_info()
-            assert (info.misses, info.currsize) == (1, 1)
-
-    def test_last_row_keys_are_not_sampled(self):
-        # a one-twist target places rows 0 and 1 from the u = 0 key, and
-        # its last row reads other keys only for their solutions
-        _clear_caches()
-        a = BottMatrix.from_last_column([1, 2])
-        b = BottMatrix.from_last_column([1, 0])
-        for mode in CoeffMode:
-            analysis._dfs_direction(a, b, mode)
-        solved = analysis._row_equation.cache_info().currsize
-        sampled = analysis._sampled_rows.cache_info().currsize
-        assert sampled == len(CoeffMode) < solved
+            # sampled holds the members at |t| <= FAMILY_SAMPLE
+            span = range(-analysis.FAMILY_SAMPLE, analysis.FAMILY_SAMPLE + 1)
+            assert sampled == analysis._members(finite, families, lambda w0, step: span)
+            entries.append(entry)
+        assert entries[0] is entries[1]
+        info = analysis._row_equation.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_each_row_equation_solved_once(self, monkeypatch):
         # every row of the witness search, the last one included, reads
@@ -646,7 +637,7 @@ class TestIsoModuli:
     def test_bounded_factoring_matches_full_factorization(self):
         rng = random.Random(71)
         for _ in range(300):
-            n = rng.randint(2, 6)
+            n = rng.randint(1, 8)
             bound = rng.choice((60, 10 ** 6))
             a, b = rand_bott(rng, n, bound), rand_bott(rng, n, bound)
             assert analysis._iso_moduli(a, b, CoeffMode.INTEGER) == \
@@ -912,6 +903,37 @@ class TestModularIso:
     def test_non_prime_power_rejected(self):
         with pytest.raises(ValueError, match="prime power"):
             modular_iso_exists(HIRZ_1, HIRZ_1, 6)
+
+    def test_prime_of_matches_brute_force(self):
+        # the prime of every prime power in -5..20000, by sieve and
+        # repeated multiplication; every other value raises ValueError
+        top = 20000
+        sieve = [True] * (top + 1)
+        want = {}
+        for p in range(2, top + 1):
+            if sieve[p]:
+                sieve[p * p::p] = [False] * len(sieve[p * p::p])
+                q = p
+                while q <= top:
+                    want[q] = p
+                    q *= p
+        analysis._prime_of.cache_clear()
+        for modulus in range(-5, top + 1):
+            if modulus in want:
+                assert analysis._prime_of(modulus) == want[modulus], modulus
+            else:
+                with pytest.raises(ValueError):
+                    analysis._prime_of(modulus)
+
+    @pytest.mark.parametrize("modulus, prime", [(2 ** 40, 2), (3 ** 25, 3)])
+    def test_prime_of_large_power_is_fast(self, modulus, prime):
+        # trial division stops at the least divisor, not at sqrt(modulus)
+        analysis._prime_of.cache_clear()
+        start = time.process_time()
+        assert analysis._prime_of(modulus) == prime
+        with pytest.raises(ValueError, match="prime power"):
+            analysis._prime_of(modulus * 5)
+        assert time.process_time() - start < 1.0
 
     def test_necessary_condition(self):
         # an exact isomorphism must survive every finite quotient

@@ -353,10 +353,56 @@ class TestCoeffRing:
                 ref = self._fraction_route_z(a, c)
                 assert [(t, type(t)) for t in got] == [(t, type(t)) for t in ref], (a, c)
 
+    def test_two_local_unit_parameters_need_integral_values(self):
+        # ints and Fractions are read through numerator and denominator
+        z2 = CoeffMode.TWO_LOCAL
+        assert z2.unit_parameters(Fraction(4, 2), 3) == z2.unit_parameters(2, Fraction(3))
+        for a, c in ((Fraction(1, 3), 1), (1, Fraction(2, 3))):
+            with pytest.raises(AssertionError, match="integral"):
+                z2.unit_parameters(a, c)
+
     def test_values_name_the_members(self):
         assert BottRing(HIRZEBRUCH, "z2local").mode is CoeffMode.TWO_LOCAL
         with pytest.raises(ValueError):
             BottRing(HIRZEBRUCH, "bogus")
+
+
+BAD_COEFFICIENTS = [1.5, 1.0, "1", "1/2"]
+
+
+class TestNonRationalCoefficientsRejected:
+    # a coefficient is an int (no bool) or a Fraction in every mode; a
+    # float or a string raises TypeError even when Fraction() reads it
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    @pytest.mark.parametrize("bad", BAD_COEFFICIENTS)
+    def test_coerce(self, mode, bad):
+        with pytest.raises(TypeError, match="not a ring coefficient"):
+            mode.coerce(bad)
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    @pytest.mark.parametrize("bad", BAD_COEFFICIENTS)
+    def test_line_element(self, mode, bad):
+        ring = BottRing(HIRZEBRUCH, mode)
+        with pytest.raises(TypeError):
+            ring.line_element([bad, 1])
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    @pytest.mark.parametrize("bad", BAD_COEFFICIENTS)
+    def test_scalar_operands(self, mode, bad):
+        x = BottRing(HIRZEBRUCH, mode).generator(0)
+        for op in (lambda: x * bad, lambda: bad * x, lambda: x + bad):
+            with pytest.raises(TypeError):
+                op()
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    @pytest.mark.parametrize("bad", BAD_COEFFICIENTS)
+    def test_chern_sums(self, mode, bad):
+        ring = BottRing(HIRZEBRUCH, mode)
+        with pytest.raises(TypeError):
+            total_chern_sum(ring, [bad, 0], [1, 0])
+        with pytest.raises(TypeError):
+            whitney_sum_trivial(ring, [bad, 0], [-1, 0])
 
 
 class TestLineBundles:
@@ -383,6 +429,17 @@ class TestLineBundles:
                 assert via_chern == via_coeff, (a0, a1)
                 # closed form for this base, derived by hand from the pair condition
                 assert via_chern == (a1 == 0 or a1 == -2 * a0), (a0, a1)
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_pontrjagin_reads_its_vector_once(self, mode):
+        # an iterator is read once, so it gives the class of the equal list
+        assert pontrjagin_one_twist(iter([1, 2]), mode) == pontrjagin_one_twist([1, 2], mode)
+        assert pontrjagin_one_twist(x for x in (1, 1, 1)) == pontrjagin_one_twist((1, 1, 1))
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_pontrjagin_rejects_non_integers(self, bad):
+        with pytest.raises(TypeError, match="twist vector"):
+            pontrjagin_one_twist([1, bad])
 
     def test_pontrjagin_hand_values(self):
         p = pontrjagin_one_twist([1, 2])
