@@ -58,9 +58,7 @@ def find_reducible_stage(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER
     """Highest twisted stage whose twist form is even and squares to zero."""
     if type(mode) is not CoeffMode:
         mode = CoeffMode(mode)
-    # full columns, read once: zero on and below the diagonal, so column m
-    # is nonzero exactly when f_m is
-    cols = list(zip(*matrix.rows))
+    cols = matrix.columns
     for m in reversed(range(matrix.n)):
         if any(cols[m]) and stage_fibration_trivial(matrix, m, mode):
             return m
@@ -142,7 +140,7 @@ def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode
     is the Fraction determinant of those rows.
     """
     n = matrix.n
-    cols = [final.column(k) for k in range(n)]
+    cols = final.columns
     for k, (y, col) in enumerate(zip(basis, cols)):
         if line_product_pairs(matrix, _relation_factor(y, col, basis), y):
             raise AssertionError("composed basis fails a relation")
@@ -382,7 +380,7 @@ def _odd_scan_primes(tower: BottMatrix) -> frozenset:
     odd primes are tried, each by divisibility, and no entry is factored.
     """
     n = tower.n
-    entries = {e for row in tower.rows for e in row if e}
+    entries = {e for col in tower.columns for e in col if e}
     return frozenset(p for p in range(3, isqrt(ODD_SCAN_LIMIT) + 1, 2)
                      if p ** n <= ODD_SCAN_LIMIT and any(e % p == 0 for e in entries)
                      and all(p % d for d in range(3, p, 2)))
@@ -470,8 +468,8 @@ def _verified_witness(host, target, rows, mode, direction):
     vector w_k - u_k is formed outside the engine (_relation_factor).
     """
     ring = BottRing(host, mode)
-    for k, w in enumerate(rows):
-        rest = _relation_factor(w, target.column(k), rows)
+    for w, col in zip(rows, target.columns):
+        rest = _relation_factor(w, col, rows)
         if not (ring.line_element(rest) * ring.line_element(w)).is_zero():
             raise AssertionError("witness failed relation replay")
     det = det_fraction(rows)
@@ -506,11 +504,11 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
     remainder is nonzero, and that remainder is what gets pushed, so no
     rank is recomputed. The last row needs no echelon: c . w is zero
     whenever w lies in the span of the placed rows. target's columns are
-    read once per search, and u is the dot product of column k with the
-    placed rows.
+    the ones it carries (BottMatrix.columns), and u is the dot product of
+    column k with the placed rows.
     """
     n = host.n
-    cols = [target.column(k) for k in range(n)]
+    cols = target.columns
     rows: list = []
     echelon: list = []
 

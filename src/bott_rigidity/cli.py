@@ -32,9 +32,9 @@ from itertools import product
 
 from .analysis import twist_number
 from .checks import SELFTEST_CHECKS
-from .core import BottMatrix, CoeffMode, integer_entries
-from .onetwist import classify, diffeo_equivalent, pontrjagin_invariant
-from .quasitoric import _recognition, _reordered_bott
+from .core import BottMatrix, CoeffMode
+from .onetwist import OneTwistClass, classify, diffeo_equivalent, pontrjagin_invariant
+from .quasitoric import _recognition, _reordered_rows
 
 CLASSIFY_GUARD = 200_000
 
@@ -65,36 +65,44 @@ def _load_json_file(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _int_list(data, where: str) -> list[int]:
-    if not isinstance(data, list):
-        raise InputError(f"{where}: expected a JSON array of integers")
-    try:
-        return list(integer_entries(data, where))
-    except TypeError as exc:
-        raise InputError(str(exc)) from exc
+# Each input int is checked once, by the library routine that reads it
+# (BottMatrix, quasitoric._recognition, OneTwistClass); the loaders
+# check only the shape of the JSON, and a non-int entry's TypeError
+# becomes an input error naming the file.
 
 
-def _load_square_matrix(path: str) -> list[list[int]]:
+def _load_square_matrix(path: str) -> list[list]:
+    """The rows of a square JSON matrix, as read; the entries are not checked."""
     data = _load_json_file(path)
     if not isinstance(data, list) or not data:
         raise InputError(f"{path}: expected a nonempty JSON array of rows")
-    rows = [_int_list(r, f"{path} row {i}") for i, r in enumerate(data)]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    for i, r in enumerate(data):
+        if not isinstance(r, list):
+            raise InputError(f"{path} row {i}: expected a JSON array of integers")
+    n = len(data)
+    if any(len(r) != n for r in data):
         raise InputError(f"{path}: matrix must be square")
-    return rows
+    return data
 
 
 def _load_bott_matrix(path: str) -> BottMatrix:
     rows = _load_square_matrix(path)
     try:
         return BottMatrix(rows)
+    except TypeError as exc:
+        raise InputError(f"{path} {exc}") from exc
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_vector(path: str) -> list[int]:
-    return _int_list(_load_json_file(path), path)
+def _load_vector(path: str) -> OneTwistClass:
+    data = _load_json_file(path)
+    if not isinstance(data, list):
+        raise InputError(f"{path}: expected a JSON array of integers")
+    try:
+        return OneTwistClass(data)
+    except TypeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _inline(v) -> str:
@@ -168,7 +176,7 @@ def cmd_equiv(args) -> int:
         raise InputError(str(exc)) from exc
     payload = {
         "equivalent": equivalent,
-        "vectors": [alpha, beta],
+        "vectors": [list(alpha.alpha), list(beta.alpha)],
         "witness": {"sigma": list(witness.sigma)} if witness is not None else None,
         "pontrjagin": [list(pontrjagin_invariant(alpha)), list(pontrjagin_invariant(beta))],
     }
@@ -206,16 +214,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    rows = _load_square_matrix(args.matrix_file)
+    path = args.matrix_file
+    rows = _load_square_matrix(path)
     try:
         mat, valid, sigma = _recognition(rows)
+    except TypeError as exc:
+        raise InputError(f"{path} {exc}") from exc
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return 3
     bott = sigma is not None
     payload = {"characteristic": valid, "bott": bott,
                "sigma": list(sigma) if bott else None,
-               "bott_matrix": _reordered_bott(mat, sigma).to_lists() if bott else None}
+               "bott_matrix": _reordered_rows(mat, sigma) if bott else None}
     _emit(payload, args.output_format)
     return 0 if bott else 1
 

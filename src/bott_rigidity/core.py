@@ -147,9 +147,17 @@ class CoeffMode(str, Enum):
 
 
 class BottMatrix:
-    """Strictly upper triangular integer matrix describing a Bott tower."""
+    """Strictly upper triangular integer matrix describing a Bott tower.
 
-    __slots__ = ("rows", "n")
+    Immutable: rows, n, columns and the hash are fixed when the matrix is
+    made, and assigning an attribute raises AttributeError. columns[j]
+    lists the coefficients of the twist form f_j (length j), the entries
+    of column j above the diagonal. Every constructor builds them in one
+    pass over zip(*rows), and readers take a column as it is stored
+    rather than rebuilding it entry by entry.
+    """
+
+    __slots__ = ("rows", "n", "columns", "_hash")
 
     def __init__(self, rows):
         rows = tuple(integer_entries(row, f"row {i}") for i, row in enumerate(rows))
@@ -162,8 +170,7 @@ class BottMatrix:
                     raise ValueError(
                         f"entry ({i},{j}) = {row[j]} below or on the diagonal must be 0"
                     )
-        self.rows = rows
-        self.n = n
+        _fill(self, rows)
 
     @classmethod
     def _trusted(cls, rows) -> "BottMatrix":
@@ -176,8 +183,7 @@ class BottMatrix:
         BottMatrix(rows).
         """
         self = cls.__new__(cls)
-        self.rows = tuple(map(tuple, rows))
-        self.n = len(self.rows)
+        _fill(self, tuple(map(tuple, rows)))
         return self
 
     @classmethod
@@ -194,21 +200,27 @@ class BottMatrix:
             rows[i][n - 1] = a
         return cls(rows)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BottMatrix is immutable: cannot set {name!r}")
+
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
 
     def column(self, j: int) -> tuple[int, ...]:
-        """Coefficients of the twist form f_j (length j)."""
-        return tuple(self.rows[i][j] for i in range(j))
+        """Coefficients of the twist form f_j (length j); IndexError unless 0 <= j < n."""
+        if not 0 <= j < self.n:
+            raise IndexError(f"column index {j} out of range")
+        return self.columns[j]
 
     def is_zero_column(self, j: int) -> bool:
-        return all(self.rows[i][j] == 0 for i in range(j))
+        """Whether f_j = 0; IndexError unless 0 <= j < n."""
+        return not any(self.column(j))
 
     def nonzero_columns(self) -> list[int]:
-        return [j for j in range(self.n) if not self.is_zero_column(j)]
+        return [j for j, col in enumerate(self.columns) if any(col)]
 
     def twist_count(self) -> int:
-        return len(self.nonzero_columns())
+        return sum(map(any, self.columns))
 
     def prefix(self, m: int) -> "BottMatrix":
         """Top-left m x m block: the base of stage m."""
@@ -221,10 +233,26 @@ class BottMatrix:
         return isinstance(other, BottMatrix) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since no
+        # attribute can be set on an existing matrix
+        return BottMatrix, (self.rows,)
 
     def __repr__(self):
         return f"BottMatrix({self.to_lists()})"
+
+
+_set = object.__setattr__
+
+
+def _fill(matrix: BottMatrix, rows: tuple) -> None:
+    """Set every attribute of a new matrix from its square tuple of int rows."""
+    _set(matrix, "rows", rows)
+    _set(matrix, "n", len(rows))
+    _set(matrix, "columns", tuple([col[:j] for j, col in enumerate(zip(*rows))]))
+    _set(matrix, "_hash", hash(rows))
 
 
 def _normalize_exponents(exps: Counter) -> Counter:
@@ -430,19 +458,18 @@ class BottRing:
                 mono = frozenset(exps)
                 out[mono] = out.get(mono, 0) + coeff
                 continue
-            col = self.matrix.column(j)
-            for i in range(j):
-                if col[i]:
+            for i, c in enumerate(self.matrix.columns[j]):
+                if c:
                     nxt = exps.copy()
                     nxt[j] -= 1
                     nxt[i] += 1
-                    work.append((_normalize_exponents(nxt), coeff * col[i]))
+                    work.append((_normalize_exponents(nxt), coeff * c))
         return {m: c for m, c in out.items() if c != 0}
 
     def _multiply(self, a: RingElement, b: RingElement) -> RingElement:
         if a.ring.matrix != b.ring.matrix:
             raise ValueError("elements live over different Bott matrices")
-        rows = self.matrix.rows
+        columns = self.matrix.columns
         acc: dict = {}
         for ma, ca in a.terms.items():
             for mb, cb in b.terms.items():
@@ -456,10 +483,10 @@ class BottRing:
                     # gives the same terms through a Counter round trip, which
                     # made ring_isomorphic on one-twist pairs about 16 % slower
                     (j,) = ma
-                    for i in range(j):
-                        if rows[i][j]:
+                    for i, cij in enumerate(columns[j]):
+                        if cij:
                             mono = frozenset((i, j))
-                            acc[mono] = acc.get(mono, 0) + c * rows[i][j]
+                            acc[mono] = acc.get(mono, 0) + c * cij
                 else:
                     exps = Counter(ma) + Counter(mb)
                     for mono, cc in self._reduce_counter(exps, c).items():
@@ -499,9 +526,10 @@ def inverse_pair_coefficient_condition(matrix: BottMatrix, alpha) -> bool:
     n = matrix.n
     if len(a) != n:
         raise ValueError(f"expected {n} coefficients, got {len(a)}")
-    for j in range(n):
-        for i in range(j):
-            if a[j] * a[j] * matrix.entry(i, j) != -2 * a[j] * a[i]:
+    for j, col in enumerate(matrix.columns):
+        aj = a[j]
+        for i, c in enumerate(col):
+            if aj * aj * c != -2 * aj * a[i]:
                 return False
     return True
 

@@ -27,9 +27,9 @@ def conjugate(matrix: BottMatrix, perm) -> BottMatrix:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
+    for i, row in enumerate(matrix.rows):
         for j in range(i + 1, n):
-            v = matrix.entry(i, j)
+            v = row[j]
             if v == 0:
                 continue
             if perm[i] >= perm[j]:
@@ -43,12 +43,9 @@ def conjugate(matrix: BottMatrix, perm) -> BottMatrix:
 
 def is_admissible(matrix: BottMatrix, perm) -> bool:
     perm = tuple(perm)
-    return all(
-        perm[i] < perm[j]
-        for i in range(matrix.n)
-        for j in range(i + 1, matrix.n)
-        if matrix.entry(i, j) != 0
-    )
+    return all(perm[i] < perm[j]
+               for j, col in enumerate(matrix.columns)
+               for i, v in enumerate(col) if v != 0)
 
 
 def admissible_permutations(matrix: BottMatrix):
@@ -62,7 +59,7 @@ def admissible_permutations(matrix: BottMatrix):
     n = matrix.n
     if n > PERMUTATION_N_MAX:
         raise ValueError(f"refusing to enumerate permutations for n={n} > {PERMUTATION_N_MAX}")
-    preds = [[i for i in range(j) if matrix.entry(i, j) != 0] for j in range(n)]
+    preds = [[i for i, v in enumerate(col) if v != 0] for col in matrix.columns]
     placed = [False] * n
     order: list[int] = []
 
@@ -136,29 +133,46 @@ def _trivialized(matrix: BottMatrix, m: int, mode: CoeffMode, basis=None):
     The rewritten rows are ints computed from the matrix's own entries,
     and the shift adds to entries (i, j) with i < m < j only, so they stay
     strictly upper triangular and go in unchecked (BottMatrix._trusted).
+    An even twist form is halved and each shift added in place. Only an
+    odd one (over Q) doubles the entries, so the half-shift stays
+    integral.
     """
     n = matrix.n
-    col = matrix.column(m)
-    # twice the rewritten entries, so the half-shift stays integral
-    twice = [[2 * x for x in row] for row in matrix.rows]
-    for i in range(m):
-        twice[i][m] = 0
-    for j in range(m + 1, n):
-        cmj = matrix.entry(m, j)
-        if cmj:
-            for i in range(m):
-                twice[i][j] += cmj * col[i]
-    if all(x % 2 == 0 for row in twice for x in row):
-        out, denom = BottMatrix._trusted([[x // 2 for x in row] for row in twice]), 1
-    elif not mode.is_field:
-        raise AssertionError("even twist form produced fractional entries")
+    col = matrix.columns[m]
+    row_m = matrix.rows[m]
+    if all(c % 2 == 0 for c in col):
+        rows = [list(row) for row in matrix.rows]
+        for i in range(m):
+            rows[i][m] = 0
+        half = [c // 2 for c in col]
+        for j in range(m + 1, n):
+            cmj = row_m[j]
+            if cmj:
+                for i, h in enumerate(half):
+                    if h:
+                        rows[i][j] += cmj * h
+        out, denom = BottMatrix._trusted(rows), 1
     else:
-        # entries are half-integers: multiplying the generator of stage i
-        # by 2**i multiplies entry (i, j) by 2**(j - i)
-        out = BottMatrix._trusted([[x * 2 ** (j - i - 1) if j > i else 0
-                                    for j, x in enumerate(row)]
-                                   for i, row in enumerate(twice)])
-        denom = 2
+        # twice the rewritten entries, so the half-shift stays integral
+        twice = [[2 * x for x in row] for row in matrix.rows]
+        for i in range(m):
+            twice[i][m] = 0
+        for j in range(m + 1, n):
+            cmj = row_m[j]
+            if cmj:
+                for i in range(m):
+                    twice[i][j] += cmj * col[i]
+        if all(x % 2 == 0 for row in twice for x in row):
+            out, denom = BottMatrix._trusted([[x // 2 for x in row] for row in twice]), 1
+        elif not mode.is_field:
+            raise AssertionError("even twist form produced fractional entries")
+        else:
+            # entries are half-integers: multiplying the generator of stage i
+            # by 2**i multiplies entry (i, j) by 2**(j - i)
+            out = BottMatrix._trusted([[x * 2 ** (j - i - 1) if j > i else 0
+                                        for j, x in enumerate(row)]
+                                       for i, row in enumerate(twice)])
+            denom = 2
     if basis is not None:
         basis = _moved_basis(basis, col, m, denom)
     return out, basis

@@ -27,18 +27,35 @@ RATIONAL_PROBE = 4
 
 
 def line_product_pairs(matrix: BottMatrix, z, w) -> dict:
-    """Coefficients of (sum z_i x_i)(sum w_i x_i) on the pairs x_i x_j, i < j."""
+    """Coefficients of (sum z_i x_i)(sum w_i x_i) on the pairs x_i x_j, i < j.
+
+    Column j of the matrix (the twist form f_j) is read once. A pair
+    (i, j) with z_j = w_j = 0 has coefficient 0 and is skipped, and when
+    only one of z_j, w_j is 0 the terms it multiplies are left out.
+    """
     out = {}
     n = matrix.n
     for v in (z, w):
         if len(v) != n:
             raise ValueError(f"expected {n} coefficients, got {len(v)}")
-    for j in range(n):
+    for j, col in enumerate(matrix.columns):
         zj, wj = z[j], w[j]
-        for i in range(j):
-            c = z[i] * wj + zj * w[i] + matrix.entry(i, j) * zj * wj
-            if c:
-                out[(i, j)] = c
+        if zj and wj:
+            zw = zj * wj
+            for i, cij in enumerate(col):
+                c = z[i] * wj + zj * w[i] + cij * zw
+                if c:
+                    out[(i, j)] = c
+        elif zj:
+            for i in range(j):
+                c = zj * w[i]
+                if c:
+                    out[(i, j)] = c
+        elif wj:
+            for i in range(j):
+                c = z[i] * wj
+                if c:
+                    out[(i, j)] = c
     return out
 
 
@@ -57,7 +74,7 @@ def _pinned_line(matrix: BottMatrix, m: int) -> tuple:
     z_m = 1 when column m is even and 2 otherwise, so every other
     coordinate is an integer.
     """
-    col = matrix.column(m)
+    col = matrix.columns[m]
     vm = 1 if all(c % 2 == 0 for c in col) else 2
     return tuple(-(c * vm) // 2 for c in col) + (vm,) + (0,) * (matrix.n - m - 1)
 
@@ -222,7 +239,7 @@ def twisted_row_solutions(matrix: BottMatrix, u, mode: CoeffMode) -> RowSolution
 
     top = max(j for _, j in s)
     for m in range(top, n):
-        col = [matrix.entry(i, m) for i in range(m)]
+        col = matrix.columns[m]
         sim = [s.get((i, m), 0) for i in range(m)]
         if any(sim):
             if mode.is_field:
@@ -274,8 +291,7 @@ def _case_pinned_rational(matrix, s, m, col, sim):
 
     poly = None
     for j in range(m):
-        for i in range(j):
-            cij = matrix.entry(i, j)
+        for i, cij in enumerate(matrix.columns[j]):
             sij = s.get((i, j), 0)
             # (2 v_m)^2 * (2 v_i v_j + c_ij v_j^2 - s_ij), with
             # 2 v_m v_k = s_km - c_km v_m^2: a degree-4 polynomial in v_m.

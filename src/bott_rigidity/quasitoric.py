@@ -117,18 +117,14 @@ def to_bott_matrix(rows, sigma) -> BottMatrix:
     return BottMatrix(_reordered_rows(mat, sigma))
 
 
-def _reordered_bott(mat, sigma) -> BottMatrix:
-    """to_bott_matrix of a normalized matrix, for sigma = _stage_order(mat).
-
-    Its entries are products of checked ints, and _stage_order asserts
-    that the support reordered by sigma is unitriangular, so the rows are
-    strictly upper triangular and go in unchecked (BottMatrix._trusted).
-    """
-    return BottMatrix._trusted(_reordered_rows(mat, sigma))
-
-
 def _reordered_rows(mat, sigma) -> list[list[int]]:
-    """The rows of mat with stage i moved to sigma[i], minus the identity."""
+    """The rows of mat with stage i moved to sigma[i], minus the identity.
+
+    For sigma = _stage_order(mat) these are the rows of to_bott_matrix,
+    with no check: _stage_order asserts that the support reordered by
+    sigma is unitriangular, so they are strictly upper triangular. The
+    CLI prints them as they are, without building the tower.
+    """
     n = len(mat)
     conj = [[0] * n for _ in range(n)]
     for i in range(n):

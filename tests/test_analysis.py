@@ -196,6 +196,31 @@ class TestTwistNumber:
         assert searched == []
 
 
+    def test_pinned_twist_reports(self):
+        # full certified reports (moves, final matrix, bound and witness,
+        # entry types included) on every height-3 tower over [-2,2] and
+        # seeded towers of heights 4-8, in every mode; the digest was taken
+        # before the towers carried their columns
+        modes = [CoeffMode(m) for m in ("z", "z2local", "q")]
+        cases = [(_tower(3, e), mode) for mode in modes
+                 for e in product(range(-2, 3), repeat=3)]
+        rng = random.Random(29)
+        for n in range(4, 9):
+            for _ in range(6):
+                rows = rand_bott(rng, n).to_lists()
+                cases += [(rows, mode) for mode in modes]
+        lines = []
+        for rows, mode in cases:
+            rep = twist_number(BottMatrix(rows), mode, certify=True)
+            oracle = rep.oracle
+            lines.append(repr((rows, mode.value, rep.twist, rep.witness_moves,
+                               rep.final_matrix.to_lists(), oracle.value,
+                               oracle.lower_bound, oracle.witness)))
+        assert len(lines) == 465
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "c2e74d10853e739c80a126ea7d427432dbc4738dd26172b0e126df5f37ac8ede"
+
+
 class TestWitnessChecks:
     # the trivial tower: every relation reads y_k^2 = 0
     ZEROS = BottMatrix.zeros(2)

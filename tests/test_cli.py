@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bott_rigidity import analysis, cli, quasitoric
+from bott_rigidity import analysis, cli, core, onetwist, quasitoric
 from bott_rigidity.checks import cycle_matrix
 from bott_rigidity.cli import CLASSIFY_GUARD, main
 from bott_rigidity.linalg import det_int
@@ -385,6 +385,45 @@ class TestSelftest:
     def test_pinned_stdout_digests(self, capsys):
         for seed, fmt in [(0, "csv"), (7, "text"), (7, "csv")]:
             self.run_pinned(capsys, seed, fmt)
+
+
+class TestInputChecks:
+    def test_each_input_int_checked_once(self, tmp_path, capsys, monkeypatch):
+        # the loaders check only the JSON shape, and the library routine
+        # that reads the input checks each of its ints once: OneTwistClass
+        # per equiv vector, normalize_characteristic per recognize row, the
+        # BottMatrix constructor per twist row
+        seen = []
+        for module in (core, onetwist, quasitoric):
+            def counting(values, where, real=module.integer_entries, name=module.__name__):
+                seen.append((name.rsplit(".", 1)[1], where))
+                return real(values, where)
+            monkeypatch.setattr(module, "integer_entries", counting)
+        a = write_json(tmp_path, "a.json", [1, 2, 3])
+        b = write_json(tmp_path, "b.json", [3, -2, 1])
+        assert run(capsys, ["equiv", a, b])[0] == 0
+        assert seen == [("onetwist", "twist vector")] * 2
+        seen.clear()
+        path = write_json(tmp_path, "c.json", HEIGHT_5_TOWER)
+        assert run(capsys, ["recognize", path])[0] == 0
+        assert seen == [("quasitoric", f"row {i}") for i in range(5)]
+        seen.clear()
+        path = write_json(tmp_path, "m.json", [[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+        assert run(capsys, ["twist", path])[0] == 0
+        assert seen == [("core", f"row {i}") for i in range(3)]
+
+    @pytest.mark.parametrize("command, data, message", [
+        ("twist", [[0, 1.5], [0, 0]], " row 0: entry 1.5 is not an integer"),
+        ("twist", [[0, 1], 3], " row 1: expected a JSON array of integers"),
+        ("recognize", [[1, 0], [True, 1]], " row 1: entry True is not an integer"),
+        ("equiv", [1, "x"], ": twist vector: entry 'x' is not an integer"),
+    ])
+    def test_non_integer_input_names_the_file(self, tmp_path, capsys, command, data, message):
+        path = write_json(tmp_path, "bad.json", data)
+        other = write_json(tmp_path, "ok.json", [1, 0])
+        argv = [command, path, other] if command == "equiv" else [command, path]
+        # the matrix messages read as before the loaders stopped checking ints
+        assert run(capsys, argv) == (2, "", f"{path}{message}\n")
 
 
 class TestFlags:

@@ -26,6 +26,7 @@ from bott_rigidity import (
     twist_number,
 )
 from bott_rigidity.checks import rand_bott
+from bott_rigidity.moves import _moved_basis, _trivialized
 
 
 class TestConjugate:
@@ -151,6 +152,53 @@ class TestTrivializeStage:
                     assert all(type(x) is int for row in out.rows for x in row)
                     hits += 1
         assert hits >= 50
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_move_matches_the_doubling_rewrite(self, mode):
+        # an even twist form is halved in place; the reference doubles every
+        # entry, adds each shift and halves when all entries are even, as
+        # every move did before, and both agree on the tower and on the
+        # denominator that moves the basis
+        def doubling(mat, m):
+            col = mat.column(m)
+            twice = [[2 * x for x in row] for row in mat.rows]
+            for i in range(m):
+                twice[i][m] = 0
+            for j in range(m + 1, mat.n):
+                for i in range(m):
+                    twice[i][j] += mat.entry(m, j) * col[i]
+            if all(x % 2 == 0 for row in twice for x in row):
+                return [[x // 2 for x in row] for row in twice], 1
+            return [[x * 2 ** (j - i - 1) if j > i else 0 for j, x in enumerate(row)]
+                    for i, row in enumerate(twice)], 2
+
+        rng = random.Random(41)
+        hits = odd = 0
+        for _ in range(400):
+            mat = rand_bott(rng, rng.randint(2, 6), bound=rng.randint(1, 4))
+            n = mat.n
+            basis = [[rng.randint(-3, 3) if i < k else int(i == k) for i in range(n)]
+                     for k in range(n)]
+            for m in range(1, n):
+                if mat.is_zero_column(m) or not stage_fibration_trivial(mat, m, mode):
+                    continue
+                out, new_basis = _trivialized(mat, m, mode, basis)
+                rows, denom = doubling(mat, m)
+                assert out.to_lists() == rows
+                assert new_basis == _moved_basis(basis, mat.column(m), m, denom)
+                assert _trivialized(mat, m, mode)[1] is None
+                hits += 1
+                odd += any(c % 2 for c in mat.column(m))
+        assert hits >= 80
+        assert (odd > 20) == (mode is CoeffMode.RATIONAL)
+
+    def test_stage_index_out_of_range(self):
+        mat = BottMatrix([[0, 2], [0, 0]])
+        for m in (-1, 2):
+            with pytest.raises(IndexError):
+                stage_fibration_trivial(mat, m)
+            with pytest.raises(IndexError):
+                trivialize_stage(mat, m)
 
     def test_rational_mode_clears_denominators(self):
         # odd columns become removable over Q; the move rescales later

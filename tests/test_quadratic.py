@@ -54,6 +54,34 @@ class TestClosedForms:
             w = [rng.randint(-5, 5) for _ in range(n)]
             assert line_product_pairs(mat, w, w) == line_square_pairs(mat, w)
 
+    def test_sparse_vectors_match_the_entry_formula(self):
+        # the kernel skips a pair whose z_j and w_j are both 0 and drops the
+        # vanishing terms when one is; the full formula, entry by entry, is
+        # the reference, on vectors that are mostly zero
+        def by_entries(mat, z, w):
+            out = {}
+            for j in range(mat.n):
+                for i in range(j):
+                    c = z[i] * w[j] + z[j] * w[i] + mat.entry(i, j) * z[j] * w[j]
+                    if c:
+                        out[(i, j)] = c
+            return out
+
+        rng = random.Random(37)
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            mat = rand_bott(rng, n, bound=3)
+
+            def sparse():
+                return [rng.choice([0, 0, 0, rng.randint(-4, 4),
+                                    Fraction(rng.randint(-4, 4), rng.choice([1, 3]))])
+                        for _ in range(n)]
+
+            z, w = sparse(), sparse()
+            assert line_product_pairs(mat, z, w) == by_entries(mat, z, w)
+            assert line_product_pairs(mat, w, z) == by_entries(mat, w, z)
+            assert line_square_pairs(mat, z) == by_entries(mat, z, z)
+
     def test_zero_coefficients_dropped(self):
         mat = BottMatrix.zeros(3)
         assert line_square_pairs(mat, [1, 0, 0]) == {}

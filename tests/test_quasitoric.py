@@ -27,7 +27,7 @@ from bott_rigidity.checks import (
     rand_bott,
 )
 from bott_rigidity.linalg import det_int
-from bott_rigidity.quasitoric import _recognition, _reordered_bott
+from bott_rigidity.quasitoric import _recognition, _reordered_rows
 
 IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 CYCLE_2 = [[1, 1], [2, 1]]
@@ -213,8 +213,9 @@ class TestRoundtrip:
                        for pi in permutations(range(n)))
 
     def test_trusted_reorder_matches_validating_path(self):
-        # the CLI reorders by the stage order without a check; to_bott_matrix
-        # takes any sigma and checks, and both agree on every tower
+        # the CLI prints the rows reordered by the stage order without a
+        # check; to_bott_matrix takes any sigma and checks, and both agree
+        # on every tower
         rng = random.Random(61)
         for n in range(1, 9):
             for _ in range(10):
@@ -223,7 +224,7 @@ class TestRoundtrip:
                 mat, valid, sigma = _recognition(scr)
                 assert valid and sigma is not None
                 checked = to_bott_matrix(scr, sigma)
-                assert _reordered_bott(mat, sigma) == checked
+                assert _reordered_rows(mat, sigma) == checked.to_lists()
                 assert checked == BottMatrix(checked.to_lists())
 
     def test_to_bott_rejects_inadmissible_order(self):

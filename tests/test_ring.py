@@ -4,8 +4,11 @@ Frozen values are hand computations in height-2 and height-3 towers; the
 confluence oracle re-derives reductions in randomized rewrite order.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +18,19 @@ from bott_rigidity import (
     BottRing,
     CoeffMode,
     RingElement,
+    admissible_permutations,
+    conjugate,
+    from_bott_matrix,
     inverse_pair_coefficient_condition,
+    is_bott,
     pontrjagin_one_twist,
+    stage_fibration_trivial,
+    to_bott_matrix,
     total_chern_sum,
     whitney_sum_trivial,
 )
 from bott_rigidity.checks import rand_bott, random_order_reduction
+from bott_rigidity.moves import _trivialized
 
 HIRZEBRUCH = BottMatrix([[0, 1], [0, 0]])
 
@@ -53,6 +63,59 @@ class TestBottMatrix:
                 trusted, checked = BottMatrix._trusted(rows), BottMatrix(rows)
                 assert trusted == checked
                 assert (trusted.n, trusted.rows) == (checked.n, checked.rows)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_column_index_out_of_range(self, n):
+        # the stored columns are a tuple, so -1 would silently read the
+        # last one; both accessors raise as BottRing.generator does
+        m = BottMatrix.from_last_column([1] * (n - 1)) if n else BottMatrix.zeros(0)
+        for j in (-1, n):
+            with pytest.raises(IndexError, match=f"column index {j}"):
+                m.column(j)
+            with pytest.raises(IndexError, match=f"column index {j}"):
+                m.is_zero_column(j)
+            with pytest.raises(IndexError):
+                BottRing(m).twist_form(j)
+        assert [m.column(j) for j in range(n)] == list(m.columns)
+
+    def test_immutable_with_stored_hash(self):
+        m = BottMatrix([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+        for name in ("rows", "n", "columns", "_hash", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(m, name, None)
+        assert hash(m) == hash(m.rows) == hash(BottMatrix(m.to_lists()))
+        assert m.columns == ((), (1,), (2, 3))
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and hash(twin) == hash(m) and twin.columns == m.columns
+
+    def test_columns_match_rows_for_every_constructor(self):
+        # each way a tower is made stores the columns its rows give
+        def columns_of(mat):
+            return tuple(tuple(mat.rows[i][j] for i in range(j)) for j in range(mat.n))
+
+        rng = random.Random(31)
+        made = [BottMatrix.zeros(n) for n in range(5)]
+        made += [BottMatrix.from_last_column(a) for a in ([], [3], [1, -2], [0, 2, -1])]
+        for n in range(1, 9):
+            for _ in range(6):
+                mat = rand_bott(rng, n, bound=3)
+                rows = mat.to_lists()
+                made += [mat, BottMatrix._trusted(rows), mat.prefix(rng.randint(0, n))]
+                perms = list(islice(admissible_permutations(mat), 24))
+                made.append(conjugate(mat, rng.choice(perms)))
+                char = from_bott_matrix(mat)
+                rho = list(range(n))
+                rng.shuffle(rho)
+                char = [[char[rho[i]][rho[j]] for j in range(n)] for i in range(n)]
+                made.append(to_bott_matrix(char, is_bott(char)[1]))
+                for mode in CoeffMode:
+                    for m in range(n):
+                        if stage_fibration_trivial(mat, m, mode) and not mat.is_zero_column(m):
+                            made.append(_trivialized(mat, m, mode)[0])
+        assert sum(m.n > 1 for m in made) > 200
+        for mat in made:
+            assert mat.columns == columns_of(mat)
+            assert hash(mat) == hash(mat.rows)
 
     def test_helpers(self):
         m = BottMatrix([[0, 0, 2], [0, 0, 3], [0, 0, 0]])
