@@ -114,7 +114,7 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
         m = find_reducible_stage(cur, mode)
         if m is None:
             break
-        cur, basis = _trivialized(cur, m, mode, basis)
+        cur, basis = _trivialized(cur, m, basis)
         moves.append({"stage": m, "matrix": cur.to_lists()})
     value = cur.twist_count()
     oracle = None

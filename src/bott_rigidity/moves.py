@@ -120,10 +120,10 @@ def trivialize_stage(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffMode.INT
     mode = CoeffMode(mode)
     if matrix.is_zero_column(m) or not stage_fibration_trivial(matrix, m, mode):
         return None
-    return _trivialized(matrix, m, mode)[0]
+    return _trivialized(matrix, m)[0]
 
 
-def _trivialized(matrix: BottMatrix, m: int, mode: CoeffMode, basis=None):
+def _trivialized(matrix: BottMatrix, m: int, basis=None):
     """The rewrite of trivialize_stage, for a stage the caller has already checked.
 
     Returns (rewritten matrix, basis'). Row k of basis, when given, is the
@@ -133,46 +133,38 @@ def _trivialized(matrix: BottMatrix, m: int, mode: CoeffMode, basis=None):
     The rewritten rows are ints computed from the matrix's own entries,
     and the shift adds to entries (i, j) with i < m < j only, so they stay
     strictly upper triangular and go in unchecked (BottMatrix._trusted).
-    An even twist form is halved and each shift added in place. Only an
-    odd one (over Q) doubles the entries, so the half-shift stays
-    integral.
+    An even twist form is halved and each shift added in place. An odd one
+    (over Q only) first doubles the entries, so the half-shift stays
+    integral, and the result is then halved or rescaled.
     """
     n = matrix.n
     col = matrix.columns[m]
     row_m = matrix.rows[m]
-    if all(c % 2 == 0 for c in col):
+    scale = 1 if all(c % 2 == 0 for c in col) else 2
+    if scale == 1:
         rows = [list(row) for row in matrix.rows]
-        for i in range(m):
-            rows[i][m] = 0
-        half = [c // 2 for c in col]
-        for j in range(m + 1, n):
-            cmj = row_m[j]
-            if cmj:
-                for i, h in enumerate(half):
-                    if h:
-                        rows[i][j] += cmj * h
-        out, denom = BottMatrix._trusted(rows), 1
     else:
-        # twice the rewritten entries, so the half-shift stays integral
-        twice = [[2 * x for x in row] for row in matrix.rows]
-        for i in range(m):
-            twice[i][m] = 0
-        for j in range(m + 1, n):
-            cmj = row_m[j]
-            if cmj:
-                for i in range(m):
-                    twice[i][j] += cmj * col[i]
-        if all(x % 2 == 0 for row in twice for x in row):
-            out, denom = BottMatrix._trusted([[x // 2 for x in row] for row in twice]), 1
-        elif not mode.is_field:
-            raise AssertionError("even twist form produced fractional entries")
+        rows = [[2 * x for x in row] for row in matrix.rows]
+    for i in range(m):
+        rows[i][m] = 0
+    shift = [scale * c // 2 for c in col]
+    for j in range(m + 1, n):
+        cmj = row_m[j]
+        if cmj:
+            for i, h in enumerate(shift):
+                if h:
+                    rows[i][j] += cmj * h
+    denom = 1
+    if scale == 2:
+        if all(x % 2 == 0 for row in rows for x in row):
+            rows = [[x // 2 for x in row] for row in rows]
         else:
             # entries are half-integers: multiplying the generator of stage i
             # by 2**i multiplies entry (i, j) by 2**(j - i)
-            out = BottMatrix._trusted([[x * 2 ** (j - i - 1) if j > i else 0
-                                        for j, x in enumerate(row)]
-                                       for i, row in enumerate(twice)])
+            rows = [[x * 2 ** (j - i - 1) if j > i else 0 for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)]
             denom = 2
+    out = BottMatrix._trusted(rows)
     if basis is not None:
         basis = _moved_basis(basis, col, m, denom)
     return out, basis

@@ -29,9 +29,8 @@ RATIONAL_PROBE = 4
 def line_product_pairs(matrix: BottMatrix, z, w) -> dict:
     """Coefficients of (sum z_i x_i)(sum w_i x_i) on the pairs x_i x_j, i < j.
 
-    Column j of the matrix (the twist form f_j) is read once. A pair
-    (i, j) with z_j = w_j = 0 has coefficient 0 and is skipped, and when
-    only one of z_j, w_j is 0 the terms it multiplies are left out.
+    Column j of the matrix (the twist form f_j) is read once, and a pair
+    (i, j) with z_j = w_j = 0 has coefficient 0 and is skipped.
     """
     out = {}
     n = matrix.n
@@ -40,22 +39,13 @@ def line_product_pairs(matrix: BottMatrix, z, w) -> dict:
             raise ValueError(f"expected {n} coefficients, got {len(v)}")
     for j, col in enumerate(matrix.columns):
         zj, wj = z[j], w[j]
-        if zj and wj:
-            zw = zj * wj
-            for i, cij in enumerate(col):
-                c = z[i] * wj + zj * w[i] + cij * zw
-                if c:
-                    out[(i, j)] = c
-        elif zj:
-            for i in range(j):
-                c = zj * w[i]
-                if c:
-                    out[(i, j)] = c
-        elif wj:
-            for i in range(j):
-                c = z[i] * wj
-                if c:
-                    out[(i, j)] = c
+        if not (zj or wj):
+            continue
+        zw = zj * wj
+        for i, cij in enumerate(col):
+            c = z[i] * wj + zj * w[i] + cij * zw
+            if c:
+                out[(i, j)] = c
     return out
 
 

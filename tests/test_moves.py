@@ -182,11 +182,11 @@ class TestTrivializeStage:
             for m in range(1, n):
                 if mat.is_zero_column(m) or not stage_fibration_trivial(mat, m, mode):
                     continue
-                out, new_basis = _trivialized(mat, m, mode, basis)
+                out, new_basis = _trivialized(mat, m, basis)
                 rows, denom = doubling(mat, m)
                 assert out.to_lists() == rows
                 assert new_basis == _moved_basis(basis, mat.column(m), m, denom)
-                assert _trivialized(mat, m, mode)[1] is None
+                assert _trivialized(mat, m)[1] is None
                 hits += 1
                 odd += any(c % 2 for c in mat.column(m))
         assert hits >= 80
