@@ -27,10 +27,10 @@ from operator import mul
 from .core import BottMatrix, BottRing, CoeffMode, integer_entries
 from .linalg import (
     _cleared_rows,
-    cofactor_vector,
+    _cofactors,
+    _expand_minors,
     det_fraction,
     maximal_minors_gcd,
-    primitive_part,
     solve_linear,
 )
 from .moves import _trivialized, stage_fibration_trivial
@@ -489,34 +489,34 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
     sampled members, those of its affine families at the parameters
     |t| <= FAMILY_SAMPLE. At the last row the determinant is linear in
     the candidate w: det(rows + [w]) = c . w for the cofactor vector c of
-    the placed rows (cofactor_vector), computed once per visit. The
+    the placed rows, read off the minors table the search carries. The
     families reaching it are resolved exactly against the placed rows by
     the two dot products c . w0 and c . step (CoeffMode.unit_parameters),
     and a candidate is accepted when c . w is a unit. None proves
     nothing: for n >= 2, row 0 always samples the family of the
     square-zero line e_0.
 
-    A candidate above the last row is placed only when it is independent
-    over Q of the rows above it. The search carries an echelon of those
-    rows down with it: each placed row is stored cleared to a primitive
-    integer row, reduced against the rows before it, with its pivot
-    (_echelon_remainder). A candidate is independent exactly when its
-    remainder is nonzero, and that remainder is what gets pushed, so no
-    rank is recomputed. The last row needs no echelon: c . w is zero
-    whenever w lies in the span of the placed rows. target's columns are
-    the ones it carries (BottMatrix.columns), and u is the dot product of
-    column k with the placed rows.
+    The search carries one table down with it: the nonzero minors of the
+    placed rows, cleared row by row to integers (_cleared_rows), on every
+    set of columns, with the product of their clearing scales. Placing a
+    row is one Laplace expansion step along it (linalg._expand_minors),
+    and a candidate above the last row is placed only when the new table
+    is non-empty, that is when it is independent over Q of the rows
+    above it. At the last row the table holds the minors of the n - 1
+    placed rows, and c is read off it over the scale (linalg._cofactors),
+    as cofactor_vector gives it. target's columns are the ones it carries
+    (BottMatrix.columns), and u is the dot product of column k with the
+    placed rows.
     """
     n = host.n
     cols = target.columns
     rows: list = []
-    echelon: list = []
 
-    def rec(k):
+    def rec(k, minors, scale):
         col = cols[k]
         u = tuple(sum(x * row[c] for x, row in zip(col, rows)) for c in range(n))
         if k == n - 1:
-            cof = cofactor_vector(rows)
+            cof = _cofactors(minors, n, scale)
 
             def det(w):
                 return sum(map(mul, cof, w))
@@ -531,18 +531,17 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
                     return True
             return False
         for w in _row_equation(host, u, mode)[2]:
-            pivot_row = _echelon_remainder(echelon, w)
-            if pivot_row is None:
+            (cleared,), mult = _cleared_rows([w])
+            placed = _expand_minors(minors, cleared)
+            if not placed:
                 continue
             rows.append(w)
-            echelon.append(pivot_row)
-            if rec(k + 1):
+            if rec(k + 1, placed, scale * mult):
                 return True
             rows.pop()
-            echelon.pop()
         return False
 
-    if n == 0 or rec(0):
+    if n == 0 or rec(0, {0: 1}, 1):
         return [tuple(r) for r in rows]
     return None
 
@@ -588,28 +587,6 @@ def _row_equation(host: BottMatrix, u: tuple, mode: CoeffMode) -> tuple:
     sampled = _members(finite, families,
                        lambda w0, step: range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1))
     return finite, families, sampled
-
-
-def _echelon_remainder(echelon, w):
-    """(pivot, row) left of w after reduction by echelon, or None if w is in its span.
-
-    echelon lists (pivot, row) pairs of primitive integer rows, each zero
-    at the pivots before it. w (ints or Fractions) is cleared to integers
-    and each pivot is eliminated in turn by an integer combination, which
-    keeps the earlier pivots at zero, so the remainder vanishes exactly
-    when w lies in the span over Q. It is returned primitive, pivoted at
-    its first nonzero entry.
-    """
-    r = _cleared_rows([w])[0][0]
-    for piv, e in echelon:
-        x = r[piv]
-        if x:
-            f = e[piv]
-            r = [f * y - x * z for y, z in zip(r, e)]
-    piv = next((i for i, x in enumerate(r) if x), None)
-    if piv is None:
-        return None
-    return piv, primitive_part(r)
 
 
 @lru_cache(maxsize=64)

@@ -29,6 +29,7 @@ import json
 import random
 import sys
 from itertools import product
+from math import comb
 
 from .analysis import twist_number
 from .checks import SELFTEST_CHECKS
@@ -198,6 +199,13 @@ def cmd_classify(args) -> int:
     if total > CLASSIFY_GUARD:
         sys.stderr.write(
             f"refusing to enumerate {side}^{n - 1} vectors (guard {CLASSIFY_GUARD})\n")
+        return 3
+    # each class prints C(n - 1, 2) Pontrjagin products; at bound 0 the one
+    # vector passes the guard above at any n
+    pairs = comb(n - 1, 2)
+    if pairs > CLASSIFY_GUARD:
+        sys.stderr.write(
+            f"refusing to list C({n - 1}, 2) = {pairs} Pontrjagin products (guard {CLASSIFY_GUARD})\n")
         return 3
     corpus = [list(v) for v in product(range(-bound, bound + 1), repeat=n - 1)]
     classes = classify(corpus)

@@ -312,8 +312,11 @@ class RingElement:
     def __eq__(self, other):
         if isinstance(other, RingElement):
             return self.ring.matrix == other.ring.matrix and self.terms == other.terms
+        if isinstance(other, bool):
+            return NotImplemented
         if isinstance(other, (int, Fraction)):
-            return self == self.ring.scalar(other)
+            # a rational scalar outside the mode equals no element of the ring
+            return self.ring.mode.contains(other) and self == self.ring.scalar(other)
         return NotImplemented
 
     def __hash__(self):

@@ -10,7 +10,9 @@ coefficient ring (Z, Q, or the 2-local integers) from a lower column
 echelon that carries its column transform, and gcds of maximal minors
 from a column Hermite reduction kept modulo one nonzero maximal minor.
 The cofactors of a last row, which give every determinant with that
-row as a dot product, come from Laplace expansion (cofactor_vector).
+row as a dot product, come from a table of the minors of the rows above
+it, grown one row at a time by Laplace expansion (_expand_minors,
+cofactor_vector).
 """
 
 from __future__ import annotations
@@ -91,39 +93,56 @@ def det_fraction(rows) -> Fraction:
     return Fraction(det_int(ints), scale)
 
 
+def _expand_minors(minors: dict, row: list[int]) -> dict:
+    """The nonzero minors of the rows so far and one more integer row, by Laplace expansion.
+
+    minors maps each column set (a bit mask) to the nonzero minor of the
+    rows so far on those columns, {0: 1} before any row. Expanding along
+    the new row gives each minor on one more column: at most
+    len(row) * len(minors) products, and none for a zero entry. Zero
+    minors are dropped, so the result is empty exactly when the new row
+    lies in the span over Q of the rows before it.
+    """
+    nxt: dict = {}
+    for s, x in enumerate(row):
+        if x:
+            bit = 1 << s
+            for cols, m in minors.items():
+                if not cols & bit:
+                    # the sign counts the columns of cols right of column s
+                    term = -x * m if (cols >> s).bit_count() % 2 else x * m
+                    nxt[cols | bit] = nxt.get(cols | bit, 0) + term
+    return {cols: m for cols, m in nxt.items() if m}
+
+
 def cofactor_vector(rows) -> list:
     """c with det(rows + [w]) = sum_j c_j w_j for every w, given n - 1 rows of length n.
 
     c_j is the cofactor of entry j of the last row: (-1)^(n-1+j) times the
     minor of rows without column j, so one call answers the determinant
-    for every last row by a dot product. The minors of the first k + 1
-    rows on every set of k + 1 columns come from those of the first k rows
-    by Laplace expansion along row k, over the cleared integer rows
-    (_cleared_rows): at most n 2^(n-1) products, and none for a zero
-    entry. At height 3 that is cheaper than one Bareiss elimination per
-    column (det_int on each minor): ring_isomorphic on one-twist pairs
-    runs about 14 % slower with the eliminations. At heights 5 to 8
-    neither shows beside the row solver. c is integral when every row
-    is, and otherwise Fractions over the clearing scale. It is zero
-    exactly when the rows are dependent. Rows of ints, as the witness
-    search over Z places them, are read as they stand (_cleared_rows)
-    and left unchanged.
+    for every last row by a dot product. The minors of the cleared integer
+    rows (_cleared_rows) are built one row at a time by _expand_minors,
+    the step the witness search takes as it places each row: at most
+    n 2^(n-1) products in all. c is integral when every row is, and
+    otherwise Fractions over the clearing scale. It is zero exactly when
+    the rows are dependent. Rows of ints, as the witness search over Z
+    places them, are read as they stand (_cleared_rows) and left
+    unchanged.
     """
     ints, scale = _cleared_rows(rows)
-    n = len(ints) + 1
-    # column set (a bit mask) -> its minor on the rows expanded so far
     minors = {0: 1}
     for row in ints:
-        nxt: dict = {}
-        for s, x in enumerate(row):
-            if x:
-                bit = 1 << s
-                for cols, m in minors.items():
-                    if not cols & bit:
-                        # the sign counts the columns of cols right of column s
-                        term = -x * m if (cols >> s).bit_count() % 2 else x * m
-                        nxt[cols | bit] = nxt.get(cols | bit, 0) + term
-        minors = nxt
+        minors = _expand_minors(minors, row)
+    return _cofactors(minors, len(ints) + 1, scale)
+
+
+def _cofactors(minors: dict, n: int, scale: int) -> list:
+    """The cofactor vector of n - 1 rows from the table of their minors (_expand_minors).
+
+    The rows were cleared to integers with the product of multipliers
+    scale, so each minor is divided by it: ints when scale is 1,
+    Fractions otherwise.
+    """
     full = (1 << n) - 1
     c = [(-1) ** (n - 1 + j) * minors.get(full ^ (1 << j), 0) for j in range(n)]
     return c if scale == 1 else [Fraction(x, scale) for x in c]
@@ -243,12 +262,3 @@ def solve_linear(a_rows, b, value_ok) -> list[Fraction] | None:
         return None
     return x
 
-
-def primitive_part(vec: list[int]) -> list[int]:
-    """Divide an integer vector by its content (gcd); zero stays zero."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g in (0, 1):
-        return list(vec)
-    return [x // g for x in vec]

@@ -166,16 +166,17 @@ def _trivialized(matrix: BottMatrix, m: int, basis=None):
             denom = 2
     out = BottMatrix._trusted(rows)
     if basis is not None:
-        basis = _moved_basis(basis, col, m, denom)
+        basis = _moved_basis(basis, col, m, scale, denom)
     return out, basis
 
 
-def _moved_basis(basis, col, m: int, denom: int):
+def _moved_basis(basis, col, m: int, scale: int, denom: int):
     """The generators after the move on stage m with twist form col.
 
     The move substitutes x_m - f_m/2 for the stage-m generator. An odd
     coefficient of f_m (over Q only) first doubles every generator, which
-    keeps every twist form and keeps the rows integral. Clearing the
+    keeps every twist form and keeps the rows integral: scale is 2 then
+    and 1 otherwise, as _trivialized chose it. Clearing the
     denominator denom then multiplies the generator of stage i by
     denom**i.
 
@@ -186,7 +187,6 @@ def _moved_basis(basis, col, m: int, denom: int):
     analysis._basis_witness asserts before it reads the determinant off
     the diagonal.
     """
-    scale = 1 if all(c % 2 == 0 for c in col) else 2
     row = [scale * a for a in basis[m]]
     for i, c in enumerate(col):
         if c:

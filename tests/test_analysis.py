@@ -28,7 +28,7 @@ from bott_rigidity import (
 from bott_rigidity import analysis, moves, quadratic
 from bott_rigidity.analysis import complexity_oracle
 from bott_rigidity.checks import even_block_forces_even_det, rand_bott
-from bott_rigidity.linalg import det_fraction, det_int, maximal_minors_gcd, rank_fraction
+from bott_rigidity.linalg import det_fraction, det_int, maximal_minors_gcd
 from bott_rigidity.quadratic import square_zero_lines
 
 
@@ -675,28 +675,6 @@ class TestIsoModuli:
         start = time.process_time()
         assert analysis._iso_moduli(a, b, CoeffMode.INTEGER) == ((2, 4), (8,))
         assert time.process_time() - start < 1.0
-
-
-class TestEchelonRemainder:
-    def test_remainder_vanishes_exactly_on_the_span(self):
-        # pushing each independent row keeps the echelon's span equal to
-        # that of the rows, so the remainder test agrees with the rank
-        rng = random.Random(83)
-        for _ in range(300):
-            n = rng.randint(1, 5)
-            rows, echelon = [], []
-            for _ in range(rng.randint(1, n + 2)):
-                w = [rng.choice((0, 0, 1, -1, 2, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
-                     for _ in range(n)]
-                if rows and rng.random() < 0.3:
-                    w = [sum(rng.randint(-2, 2) * r[c] for r in rows) for c in range(n)]
-                got = analysis._echelon_remainder(echelon, w)
-                assert (got is not None) == (rank_fraction(rows + [w]) == len(rows) + 1)
-                if got is not None:
-                    piv, r = got
-                    assert r[piv] != 0 and all(r[p] == 0 for p, _ in echelon)
-                    rows.append(w)
-                    echelon.append(got)
 
 
 class TestModeValues:

@@ -245,6 +245,18 @@ class TestClassify:
             assert out == ""
             assert str(CLASSIFY_GUARD) in err
 
+    def test_pontrjagin_guard(self, capsys):
+        # bound 0 enumerates one vector at any n, but its Pontrjagin
+        # multiset has C(n - 1, 2) entries
+        for n in ("634", "100000"):
+            rc, out, err = run(capsys, ["classify", "--n", n, "--bound", "0"])
+            assert rc == 3
+            assert out == ""
+            assert str(CLASSIFY_GUARD) in err
+        rc, out, _ = run(capsys, ["classify", "--n", "633", "--bound", "0"])
+        assert rc == 0
+        assert len(json.loads(out)["classes"][0]["pontrjagin"]) == 632 * 631 // 2
+
     def test_pinned_height_six_digest(self, capsys):
         rc, out, _ = run(capsys, ["classify", "--n", "6", "--bound", "2"])
         assert rc == 0

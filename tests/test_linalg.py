@@ -15,11 +15,12 @@ from hypothesis import given, settings, strategies as st
 from bott_rigidity import linalg
 from bott_rigidity.linalg import (
     _cleared_rows,
+    _cofactors,
+    _expand_minors,
     cofactor_vector,
     det_fraction,
     det_int,
     maximal_minors_gcd,
-    primitive_part,
     rank_fraction,
     solve_linear,
 )
@@ -160,6 +161,70 @@ class TestCofactorVector:
                 w = [entry() for _ in range(n)]
                 assert sum(x * y for x, y in zip(c, w)) == det_fraction(rows + [w])
         assert dependent > 50
+
+
+class TestExpandMinors:
+    """One Laplace step per row, as the witness search places them."""
+
+    @staticmethod
+    def _entry(rng, kind):
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.6):
+            return rng.choice((0, 0, 1, -1, rng.randint(-6, 6)))
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    def _seeded_rows(self, rng, kind, n, count):
+        rows = []
+        for _ in range(count):
+            if rows and rng.random() < 0.3:
+                # a combination of the rows so far, so dependence is common
+                row = [sum(rng.choice((-2, -1, 1, Fraction(1, 2))) * r[c] for r in rows)
+                       for c in range(n)]
+            else:
+                row = [self._entry(rng, kind) for _ in range(n)]
+            rows.append(row)
+        return rows
+
+    def test_empty_exactly_when_the_rank_does_not_grow(self):
+        # the table holds every nonzero minor of the rows placed so far
+        rng = random.Random(83)
+        grew = stuck = 0
+        for kind in ("int", "fraction", "mixed"):
+            for _ in range(150):
+                n = rng.randint(1, 6)
+                placed, minors = [], {0: 1}
+                for row in self._seeded_rows(rng, kind, n, rng.randint(1, n + 2)):
+                    nxt = _expand_minors(minors, _cleared_rows([row])[0][0])
+                    independent = rank_fraction(placed + [row]) == len(placed) + 1
+                    assert bool(nxt) == independent
+                    if not independent:
+                        stuck += 1
+                        continue
+                    grew += 1
+                    placed.append(row)
+                    minors = nxt
+                    ints = _cleared_rows(placed)[0]
+                    k = len(placed)
+                    for cs in combinations(range(n), k):
+                        value = det_int([[r[c] for c in cs] for r in ints])
+                        assert minors.get(sum(1 << c for c in cs), 0) == value
+                    assert all(cols.bit_count() == k and m for cols, m in minors.items())
+        assert grew > 500 and stuck > 200
+
+    def test_fold_matches_cofactor_vector(self):
+        # rows cleared one at a time with the product of their scales, as
+        # the witness search carries them, give cofactor_vector's value and
+        # entry types
+        rng = random.Random(89)
+        for kind in ("int", "fraction", "mixed"):
+            for _ in range(200):
+                n = rng.randint(1, 6)
+                rows = self._seeded_rows(rng, kind, n, n - 1)
+                minors, scale = {0: 1}, 1
+                for row in rows:
+                    (ints,), mult = _cleared_rows([row])
+                    minors = _expand_minors(minors, ints)
+                    scale *= mult
+                assert _typed(_cofactors(minors, n, scale)) == _typed(cofactor_vector(rows))
 
 
 def _clearing_route(rows):
@@ -405,24 +470,3 @@ class TestSolveLinear:
                 assert x is None
             else:
                 assert [sum(Fraction(e) * v for e, v in zip(row, x)) for row in a] == b
-
-
-class TestPrimitivePart:
-    def test_hand_values(self):
-        assert primitive_part([2, 4, -6]) == [1, 2, -3]
-        assert primitive_part([0, 0]) == [0, 0]
-        assert primitive_part([-2, -4]) == [-1, -2]
-        assert primitive_part([3]) == [1]
-        assert primitive_part([0, 5, 0]) == [0, 1, 0]
-
-    @given(st.lists(small_int, min_size=1, max_size=5))
-    @settings(max_examples=60, deadline=None)
-    def test_result_has_unit_content(self, vec):
-        out = primitive_part(vec)
-        g = 0
-        for v in out:
-            g = gcd(g, v)
-        if any(vec):
-            assert g == 1
-        else:
-            assert out == vec

@@ -185,7 +185,8 @@ class TestTrivializeStage:
                 out, new_basis = _trivialized(mat, m, basis)
                 rows, denom = doubling(mat, m)
                 assert out.to_lists() == rows
-                assert new_basis == _moved_basis(basis, mat.column(m), m, denom)
+                scale = 2 if any(c % 2 for c in mat.column(m)) else 1
+                assert new_basis == _moved_basis(basis, mat.column(m), m, scale, denom)
                 assert _trivialized(mat, m)[1] is None
                 hits += 1
                 odd += any(c % 2 for c in mat.column(m))

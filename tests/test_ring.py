@@ -468,6 +468,22 @@ class TestNonRationalCoefficientsRejected:
             whitney_sum_trivial(ring, [bad, 0], [-1, 0])
 
 
+class TestScalarEquality:
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_answers_for_every_scalar(self, mode):
+        one = BottRing(HIRZEBRUCH, mode).one()
+        assert one == 1 and one == Fraction(1) and one != 2
+        # a Fraction outside the mode and a bool are answered, not raised on
+        assert (one == Fraction(1, 2)) is False
+        assert (one == Fraction(1, 3)) is False
+        assert (one == True) is False
+        assert (one != True) is True
+        assert (one == 1.5) is False
+        assert one.__eq__(True) is NotImplemented
+        if mode is not CoeffMode.INTEGER:
+            assert one * Fraction(1, 3) == Fraction(1, 3)
+
+
 class TestLineBundles:
     def test_inverse_pair_sums_to_one(self):
         # alpha = x0 - 2 x1 squares to zero over the odd Hirzebruch base
