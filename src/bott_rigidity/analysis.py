@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import isqrt, prod
+from math import isqrt
 from operator import mul
 
 from .core import BottMatrix, BottRing, CoeffMode, integer_entries
@@ -88,13 +88,16 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     Each trivialization removes one nonzero column and never creates a new
     one, so the loop terminates. The count is an upper bound on the
     minimum over unit changes of basis, and the moves compose to a basis
-    that attains it (moves._moved_basis).
+    that attains it: starting from the identity, each move rewrites the
+    row of its stage and rescales the others only when an odd twist form
+    over Q makes it double the generators (moves._moved_basis).
 
     With certify=True, oracle is a ComplexityReport of the count, the line
     lower bound of complexity_oracle (which takes time polynomial in the
     height) and the composed basis as witness. _basis_witness checks it
-    with one closed-form product per relation, and reads its determinant
-    off the diagonal of the lower triangular basis the moves compose.
+    with one closed-form product per relation and, in the same pass, reads
+    its determinant off the diagonal of the lower triangular basis the
+    moves compose and the sign of the reordering to square-zero rows first.
     The count is certified when it meets the bound; otherwise the report
     has budget_exhausted set. No search runs: complexity_oracle certifies
     only a value that meets this same bound, so a search could never
@@ -109,7 +112,7 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     cur = matrix
     moves = []
     # row k: the k-th generator of cur in the generators of matrix
-    basis = [[int(i == k) for i in range(n)] for k in range(n)] if certify else None
+    basis = [[0] * k + [1] + [0] * (n - 1 - k) for k in range(n)] if certify else None
     while True:
         m = find_reducible_stage(cur, mode)
         if m is None:
@@ -134,36 +137,47 @@ def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode
     u_k = f_k(y) is a vector in matrix's generators. The moves keep the
     basis lower triangular (moves._moved_basis), which is asserted, so its
     determinant is the product of the diagonal, and it must be a unit.
-    The rows are then put in the shape complexity_oracle returns:
-    square-zero rows first, then the twisted rows in stage order, each
-    with the coefficients of its twist form in the reordered rows; "det"
-    is the Fraction determinant of those rows.
+    The rows are put in the shape complexity_oracle returns: square-zero
+    rows first, then the twisted rows in stage order, each with the
+    coefficients of its twist form in the reordered rows; "det" is the
+    Fraction determinant of those rows. The same pass that checks each
+    row sorts it, multiplies in its diagonal entry and counts the
+    inversions of the reordering: a square-zero row passes over every
+    twisted row before it, and their parity is the sign of the reordering.
     """
     n = matrix.n
     cols = final.columns
+    zero, twisted = [], []
+    det = 1
+    inversions = 0
     for k, (y, col) in enumerate(zip(basis, cols)):
         if line_product_pairs(matrix, _relation_factor(y, col, basis), y):
             raise AssertionError("composed basis fails a relation")
         if any(y[k + 1:]):
             raise AssertionError("composed basis is not lower triangular")
-    order = [k for k in range(n) if not any(cols[k])]
-    need = len(order)
-    order += [k for k in range(n) if any(cols[k])]
-    pos = {k: p for p, k in enumerate(order)}
-    twist_rows = []
-    for k in order[need:]:
-        coeffs = [0] * n
-        for i, c in enumerate(cols[k]):
-            coeffs[pos[i]] = c
-        twist_rows.append(coeffs)
-    rows = [basis[k] for k in order]
-    # reordering the rows by order multiplies the determinant by its sign
-    inversions = sum(p > q for p, q in combinations(order, 2))
-    det = (-1) ** inversions * prod(basis[k][k] for k in range(n))
+        det *= y[k]
+        if any(col):
+            twisted.append(k)
+        else:
+            zero.append(k)
+            inversions += len(twisted)
+    if inversions % 2:
+        det = -det
     if not mode.is_unit(det):
         raise AssertionError("composed basis determinant is not a unit")
-    return {"basis": rows, "zero_rows": need, "twist_coefficients": twist_rows,
-            "det": Fraction(det)}
+    order = zero + twisted
+    pos = [0] * n
+    for p, k in enumerate(order):
+        pos[k] = p
+    twist_rows = []
+    for k in twisted:
+        coeffs = [0] * n
+        for i, c in enumerate(cols[k]):
+            if c:
+                coeffs[pos[i]] = c
+        twist_rows.append(coeffs)
+    return {"basis": [basis[k] for k in order], "zero_rows": len(zero),
+            "twist_coefficients": twist_rows, "det": Fraction(det)}
 
 
 def _relation_factor(w, col, rows) -> list:

@@ -320,7 +320,15 @@ class RingElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset((m, Fraction(c)) for m, c in self.terms.items()))
+        # an element with no term but the empty monomial equals that
+        # coefficient as a scalar (and one with no term equals 0), so it
+        # hashes as the scalar does
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and frozenset() in terms:
+            return hash(terms[frozenset()])
+        return hash(frozenset((m, Fraction(c)) for m, c in terms.items()))
 
     def __add__(self, other):
         other = self._coerce_operand(other)

@@ -185,12 +185,19 @@ def _moved_basis(basis, col, m: int, scale: int, denom: int):
     triangular: row k is supported on indices <= k. Composed from the
     identity, every basis twist_number builds has this shape, which
     analysis._basis_witness asserts before it reads the determinant off
-    the diagonal.
+    the diagonal. With scale and denom both 1 (every move over Z and
+    Z_(2), and every even twist form over Q) no other row changes: the
+    result is a new list holding the new row m and the other rows of
+    basis themselves, so the rows are shared and never written to.
     """
     row = [scale * a for a in basis[m]]
     for i, c in enumerate(col):
         if c:
             row = [a - scale * c // 2 * b for a, b in zip(row, basis[i])]
+    if scale == denom == 1:
+        out = list(basis)
+        out[m] = row
+        return out
     out = [[scale * a for a in r] for r in basis]
     out[m] = row
     return [[denom ** k * a for a in r] for k, r in enumerate(out)]

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -40,6 +41,37 @@ def _tower(n, entries):
         for i in range(j):
             rows[i][j] = next(it)
     return rows
+
+
+def _witness_towers():
+    """Every tower of heights 2-3 over [-2,2] and 600 seeded towers of
+    heights 4-8, whose certified twist numbers exercise the witness."""
+    rng = random.Random(2509)
+    towers = [_tower(n, e) for n in (2, 3) for e in product(range(-2, 3), repeat=n * (n - 1) // 2)]
+    towers += [rand_bott(rng, n).to_lists() for n in range(4, 9) for _ in range(120)]
+    return towers
+
+
+def _sorted_witness(final, basis):
+    """The witness shape as a sort, with its inversion count: the reference
+    for analysis._basis_witness, which shapes the rows in its checking pass."""
+    n = len(basis)
+    cols = final.columns
+    order = [k for k in range(n) if not any(cols[k])]
+    need = len(order)
+    order += [k for k in range(n) if any(cols[k])]
+    pos = {k: p for p, k in enumerate(order)}
+    twist_rows = []
+    for k in order[need:]:
+        coeffs = [0] * n
+        for i, c in enumerate(cols[k]):
+            coeffs[pos[i]] = c
+        twist_rows.append(coeffs)
+    inversions = sum(p > q for p, q in combinations(order, 2))
+    det = (-1) ** inversions * prod(basis[k][k] for k in range(n))
+    witness = {"basis": [basis[k] for k in order], "zero_rows": need,
+               "twist_coefficients": twist_rows, "det": Fraction(det)}
+    return witness, inversions
 
 
 def _clear_caches():
@@ -252,15 +284,59 @@ class TestWitnessChecks:
     def test_det_matches_elimination(self):
         # the determinant read off the diagonal is the one Bareiss gives,
         # a Fraction in every mode
-        rng = random.Random(2509)
-        towers = [_tower(n, e) for n in (2, 3) for e in product(range(-2, 3), repeat=n * (n - 1) // 2)]
-        towers += [rand_bott(rng, n).to_lists() for n in range(4, 9) for _ in range(120)]
-        for rows in towers:
+        for rows in _witness_towers():
             for mode in CoeffMode:
                 witness = twist_number(BottMatrix(rows), mode, certify=True).oracle.witness
                 expected = det_fraction(witness["basis"])
                 assert type(witness["det"]) is type(expected) is Fraction
                 assert witness["det"] == expected
+
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    @pytest.mark.parametrize("rows, inversions", [
+        # a square-zero last stage above 0, 1, 2 and 3 twisted stages
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 0),
+        ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], 1),
+        ([[0, 1, 2, 0], [0, 0, -1, 0], [0, 0, 0, 0], [0, 0, 0, 0]], 2),
+        ([[0, 1, 1, 3, 0], [0, 0, 2, 0, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], 3),
+        # square-zero stages above 1 and 2 twisted ones
+        ([[0, 1, 0, 1, 0], [0, 0, 0, 0, 0], [0, 0, 0, 2, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], 3),
+        # a twisted last stage after square-zero ones
+        ([[0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]], 0),
+    ])
+    def test_shape_matches_the_sort_by_hand(self, rows, inversions, mode):
+        # the identity presents a tower inside its own ring; the one-pass
+        # shape equals the sorted one, entry types included, and its sign
+        # is the parity of the inversions
+        final = BottMatrix(rows)
+        n = final.n
+        basis = [[int(i == k) for i in range(n)] for k in range(n)]
+        want, count = _sorted_witness(final, basis)
+        got = analysis._basis_witness(final, final, basis, mode)
+        assert count == inversions and got["det"] == (-1) ** inversions
+        assert got == want and repr(got) == repr(want)
+
+    def test_shape_matches_the_sort_on_composed_bases(self, monkeypatch):
+        # every witness twist_number builds for the towers of
+        # test_det_matches_elimination equals the sorted shape, entry types
+        # included; 151 of the 2190 reorderings are odd
+        real = analysis._basis_witness
+        seen = []
+
+        def recorded(matrix, final, basis, mode):
+            got = real(matrix, final, basis, mode)
+            seen.append((got, *_sorted_witness(final, basis)))
+            return got
+
+        monkeypatch.setattr(analysis, "_basis_witness", recorded)
+        for rows in _witness_towers():
+            for mode in CoeffMode:
+                twist_number(BottMatrix(rows), mode, certify=True)
+        odd = 0
+        for got, want, inversions in seen:
+            assert got == want and repr(got) == repr(want)
+            odd += inversions % 2
+        assert len(seen) == 2190 and 50 < odd < len(seen) // 2
 
 
 class TestComplexityOracle:

@@ -158,7 +158,8 @@ class TestTrivializeStage:
         # an even twist form is halved in place; the reference doubles every
         # entry, adds each shift and halves when all entries are even, as
         # every move did before, and both agree on the tower and on the
-        # denominator that moves the basis
+        # denominator that moves the basis; the basis moves as the all-rows
+        # rewrite moves it, for every scale and denominator
         def doubling(mat, m):
             col = mat.column(m)
             twice = [[2 * x for x in row] for row in mat.rows]
@@ -172,6 +173,17 @@ class TestTrivializeStage:
             return [[x * 2 ** (j - i - 1) if j > i else 0 for j, x in enumerate(row)]
                     for i, row in enumerate(twice)], 2
 
+        # the basis rewrite as it stood when every move rebuilt every row:
+        # row m moved, every row scaled, then stage i multiplied by denom**i
+        def all_rows_moved(basis, col, m, scale, denom):
+            row = [scale * a for a in basis[m]]
+            for i, c in enumerate(col):
+                if c:
+                    row = [a - scale * c // 2 * b for a, b in zip(row, basis[i])]
+            out = [[scale * a for a in r] for r in basis]
+            out[m] = row
+            return [[denom ** k * a for a in r] for k, r in enumerate(out)]
+
         rng = random.Random(41)
         hits = odd = 0
         for _ in range(400):
@@ -182,11 +194,17 @@ class TestTrivializeStage:
             for m in range(1, n):
                 if mat.is_zero_column(m) or not stage_fibration_trivial(mat, m, mode):
                     continue
+                before = [list(r) for r in basis]
                 out, new_basis = _trivialized(mat, m, basis)
                 rows, denom = doubling(mat, m)
                 assert out.to_lists() == rows
-                scale = 2 if any(c % 2 for c in mat.column(m)) else 1
-                assert new_basis == _moved_basis(basis, mat.column(m), m, scale, denom)
+                col = mat.column(m)
+                scale = 2 if any(c % 2 for c in col) else 1
+                assert new_basis == all_rows_moved(basis, col, m, scale, denom)
+                for s, d in product((1, 2), repeat=2):
+                    assert _moved_basis(basis, col, m, s, d) == all_rows_moved(basis, col, m, s, d)
+                # unmoved rows may be shared with the input, which stays as it was
+                assert basis == before
                 assert _trivialized(mat, m)[1] is None
                 hits += 1
                 odd += any(c % 2 for c in mat.column(m))

@@ -483,6 +483,22 @@ class TestScalarEquality:
         if mode is not CoeffMode.INTEGER:
             assert one * Fraction(1, 3) == Fraction(1, 3)
 
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_scalars_hash_as_the_numbers_they_equal(self, mode):
+        # equal objects must hash equal, so a scalar element and the number
+        # it equals are one key of a set or dict
+        ring = BottRing(HIRZEBRUCH, mode)
+        pairs = [(ring.one(), 1), (ring.zero(), 0), (ring.scalar(-2), -2)]
+        if mode is not CoeffMode.INTEGER:
+            pairs.append((ring.scalar(Fraction(1, 3)), Fraction(1, 3)))
+        for element, number in pairs:
+            assert element == number and hash(element) == hash(number)
+            assert len({number, element}) == 1
+            assert {number: "key"}[element] == "key"
+        # elements with other terms keep hashing by their terms
+        x0 = ring.generator(0)
+        assert hash(x0 + 1) == hash(1 + x0) and len({x0, x0 + 1, ring.one()}) == 3
+
 
 class TestLineBundles:
     def test_inverse_pair_sums_to_one(self):
