@@ -140,10 +140,10 @@ def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode
     The rows are put in the shape complexity_oracle returns: square-zero
     rows first, then the twisted rows in stage order, each with the
     coefficients of its twist form in the reordered rows; "det" is the
-    Fraction determinant of those rows. The same pass that checks each
-    row sorts it, multiplies in its diagonal entry and counts the
-    inversions of the reordering: a square-zero row passes over every
-    twisted row before it, and their parity is the sign of the reordering.
+    Fraction determinant of those rows. The pass that checks each row also
+    files it as square-zero or twisted, multiplies in its diagonal entry
+    and counts the inversions of the reordering: a square-zero row passes
+    over every twisted row before it, and their parity is the sign.
     """
     n = matrix.n
     cols = final.columns
@@ -173,8 +173,7 @@ def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode
     for k in twisted:
         coeffs = [0] * n
         for i, c in enumerate(cols[k]):
-            if c:
-                coeffs[pos[i]] = c
+            coeffs[pos[i]] = c
         twist_rows.append(coeffs)
     return {"basis": [basis[k] for k in order], "zero_rows": len(zero),
             "twist_coefficients": twist_rows, "det": Fraction(det)}

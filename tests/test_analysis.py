@@ -291,7 +291,6 @@ class TestWitnessChecks:
                 assert type(witness["det"]) is type(expected) is Fraction
                 assert witness["det"] == expected
 
-
     @pytest.mark.parametrize("mode", list(CoeffMode))
     @pytest.mark.parametrize("rows, inversions", [
         # a square-zero last stage above 0, 1, 2 and 3 twisted stages

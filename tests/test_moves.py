@@ -173,8 +173,8 @@ class TestTrivializeStage:
             return [[x * 2 ** (j - i - 1) if j > i else 0 for j, x in enumerate(row)]
                     for i, row in enumerate(twice)], 2
 
-        # the basis rewrite as it stood when every move rebuilt every row:
-        # row m moved, every row scaled, then stage i multiplied by denom**i
+        # the reference basis rewrite rebuilds every row: row m moved, every
+        # other row scaled, then the row of stage i multiplied by denom**i
         def all_rows_moved(basis, col, m, scale, denom):
             row = [scale * a for a in basis[m]]
             for i, c in enumerate(col):
