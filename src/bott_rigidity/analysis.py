@@ -421,12 +421,15 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
     are units, so only 2, 4 and 8 apply; over Q no quotient applies.
 
     Over Z the witness rows are ints throughout, and neither the search
-    nor the replay clears or coerces them: the linear algebra reads int
-    rows as they stand (linalg._cleared_rows), the last row's parameters
-    are solved by divmod (CoeffMode.unit_parameters), and the replay
-    builds its line elements unchecked (BottRing.line_element) before
-    taking every product in the ring engine. The witness det is a
-    Fraction in every mode.
+    nor the replay clears or coerces them: each sampled row is cleared
+    once per row-equation entry, which copies an int row as it stands
+    (_row_equation, linalg._cleared_rows), the last row's parameters are
+    solved by divmod (CoeffMode.unit_parameters) and the least unit row is
+    taken in one pass (_least_unit_row), and the replay builds its line
+    elements unchecked from their nonzero terms (BottRing.line_element)
+    before taking every product in the ring engine. The replay's
+    determinant is computed afresh (det_fraction), and the witness det is
+    a Fraction in every mode.
 
     Soundness of a quotient mod q: H*(M; Z) is free, so H*(M; Z/q) is
     H*(M; Z) tensored with Z/q. A change of basis in GL_n(Z) therefore
@@ -497,55 +500,50 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
     Returns the rows of a unit change of basis, or None when none was
     found. Row k solves w^2 = u w for u the image of target's twist form;
     each equation is solved once per value of (host, u, mode) and kept
-    with its sampled members in one entry (_row_equation). Every
-    candidate list is built by _members: a row above the last tries the
-    sampled members, those of its affine families at the parameters
-    |t| <= FAMILY_SAMPLE. At the last row the determinant is linear in
-    the candidate w: det(rows + [w]) = c . w for the cofactor vector c of
-    the placed rows, read off the minors table the search carries. The
-    families reaching it are resolved exactly against the placed rows by
-    the two dot products c . w0 and c . step (CoeffMode.unit_parameters),
-    and a candidate is accepted when c . w is a unit. None proves
-    nothing: for n >= 2, row 0 always samples the family of the
+    with its sampled members, each cleared to an integer row once, in one
+    entry (_row_equation). A row above the last tries the sampled members,
+    those of its affine families at the parameters |t| <= FAMILY_SAMPLE,
+    in _members order. At the last row the determinant is linear in the
+    candidate w: det(rows + [w]) = c . w for the cofactor vector c of the
+    placed rows, read off the minors table the search carries. The last
+    row is the least candidate by _row_order whose c . w is a unit
+    (_least_unit_row): the finite rows and, for each family, its members
+    at the parameters solved exactly against the placed rows from the two
+    dot products c . w0 and c . step (CoeffMode.unit_parameters). None
+    proves nothing: for n >= 2, row 0 always samples the family of the
     square-zero line e_0.
 
     The search carries one table down with it: the nonzero minors of the
     placed rows, cleared row by row to integers (_cleared_rows), on every
     set of columns, with the product of their clearing scales. Placing a
-    row is one Laplace expansion step along it (linalg._expand_minors),
-    and a candidate above the last row is placed only when the new table
-    is non-empty, that is when it is independent over Q of the rows
-    above it. At the last row the table holds the minors of the n - 1
-    placed rows, and c is read off it over the scale (linalg._cofactors),
-    as cofactor_vector gives it. target's columns are the ones it carries
-    (BottMatrix.columns), and u is the dot product of column k with the
-    placed rows.
+    row is one Laplace expansion step along its cleared row
+    (linalg._expand_minors), and a candidate above the last row is placed
+    only when the new table is non-empty, that is when it is independent
+    over Q of the rows above it. At the last row the table holds the
+    minors of the n - 1 placed rows, and c is read off it over the scale
+    (linalg._cofactors), as cofactor_vector gives it. target's columns are
+    the ones it carries (BottMatrix.columns), and u is the dot product of
+    column k with the placed rows, summed over the nonzero entries of the
+    column only: with none, u is the zero row.
     """
     n = host.n
     cols = target.columns
+    zero = (0,) * n
     rows: list = []
 
     def rec(k, minors, scale):
-        col = cols[k]
-        u = tuple(sum(x * row[c] for x, row in zip(col, rows)) for c in range(n))
+        terms = [(x, rows[i]) for i, x in enumerate(cols[k]) if x]
+        u = tuple([sum(x * row[c] for x, row in terms) for c in range(n)]) if terms else zero
         if k == n - 1:
-            cof = _cofactors(minors, n, scale)
-
-            def det(w):
-                return sum(map(mul, cof, w))
-
-            def params(w0, step):
-                return mode.unit_parameters(det(w0), det(step))
-
-            for w in _members(*_row_equation(host, u, mode)[:2], params):
-                value = det(w)
-                if value and mode.is_unit(value):
-                    rows.append(w)
-                    return True
-            return False
-        for w in _row_equation(host, u, mode)[2]:
-            (cleared,), mult = _cleared_rows([w])
-            placed = _expand_minors(minors, cleared)
+            finite, families, _, _ = _row_equation(host, u, mode)
+            w = _least_unit_row(finite, families, _cofactors(minors, n, scale), mode)
+            if w is None:
+                return False
+            rows.append(w)
+            return True
+        _, _, sampled, cleared = _row_equation(host, u, mode)
+        for w, (row, mult) in zip(sampled, cleared):
+            placed = _expand_minors(minors, row)
             if not placed:
                 continue
             rows.append(w)
@@ -557,6 +555,39 @@ def _dfs_direction(host: BottMatrix, target: BottMatrix, mode: CoeffMode):
     if n == 0 or rec(0, {0: 1}, 1):
         return [tuple(r) for r in rows]
     return None
+
+
+def _least_unit_row(finite, families, cof, mode):
+    """The least candidate w by _row_order with c . w a unit, c = cof; None if there is none.
+
+    The candidates are those of _members(finite, families, params) with
+    params(w0, step) = mode.unit_parameters(c . w0, c . step), taken in
+    one pass with no list built, and the row is the first unit of that
+    sorted list: _row_order orders rows by value, a zero row has c . w =
+    0, and strict < keeps the first-listed of value-equal rows, as
+    _members keeps the first of repeats and sorts stably. A family
+    member's c . w is c . w0 + t c . step.
+    """
+    def det(w):
+        return sum(map(mul, cof, w))
+
+    best = key = None
+    for w in finite:
+        value = det(w)
+        if value and mode.is_unit(value):
+            order = _row_order(w)
+            if best is None or order < key:
+                best, key = w, order
+    for w0, step in families:
+        a, c = det(w0), det(step)
+        for t in mode.unit_parameters(a, c):
+            value = a + t * c
+            if value and mode.is_unit(value):
+                w = tuple([x + t * y for x, y in zip(w0, step)])
+                order = _row_order(w)
+                if best is None or order < key:
+                    best, key = w, order
+    return best
 
 
 def _row_order(w):
@@ -579,27 +610,34 @@ def _members(finite, families, params) -> tuple:
     return tuple(cands)
 
 
-# Solutions of w^2 = u w and their sampled members for every row of the
-# witness search, as (host, u, mode) keys compared by value. Over Z the
-# 1225 one-twist pairs of [-3,3]^2 touch 339 keys and 40 passes of the
-# iso_pairs benchmark 564, so 1024 keys hold them all; over Q the pairs
-# touch 2,272, none twice.
+# Solutions of w^2 = u w, their sampled members and the members cleared to
+# integer rows, for every row of the witness search, as (host, u, mode) keys
+# compared by value. Over Z the 1225 one-twist pairs of [-3,3]^2 touch 339
+# keys and 40 passes of the iso_pairs benchmark 564, so 1024 keys hold them
+# all; over Q the pairs touch 2,272, none twice.
 @lru_cache(maxsize=1024)
 def _row_equation(host: BottMatrix, u: tuple, mode: CoeffMode) -> tuple:
-    """(finite, families, sampled) for one row of _dfs_direction.
+    """(finite, families, sampled, cleared) for one row of _dfs_direction.
 
     finite and families are the exact solutions of w^2 = u w as
     twisted_row_solutions returns them; sampled is their members at the
     parameters |t| <= FAMILY_SAMPLE (_members), the candidates of a row
-    above the last. Every part is a tuple of tuples, so no caller can
-    change a shared entry. The solutions depend on the value of u, not on
-    the types of its entries (RowSolutions), so an int u and an equal
-    Fraction u share one entry.
+    above the last, and cleared[i] is (sampled[i] cleared to an integer
+    row, its multiplier), as _cleared_rows gives them, so the search
+    clears each candidate once per entry rather than once per visit.
+    Every part is a tuple of tuples, so no caller can change a shared
+    entry. The solutions depend on the value of u, not on the types of
+    its entries (RowSolutions), so an int u and an equal Fraction u share
+    one entry.
     """
     finite, families = twisted_row_solutions(host, u, mode)
     sampled = _members(finite, families,
                        lambda w0, step: range(-FAMILY_SAMPLE, FAMILY_SAMPLE + 1))
-    return finite, families, sampled
+    cleared = []
+    for w in sampled:
+        (row,), mult = _cleared_rows([w])
+        cleared.append((tuple(row), mult))
+    return finite, families, sampled, tuple(cleared)
 
 
 @lru_cache(maxsize=64)
@@ -684,8 +722,9 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     The towers fall into few classes mod q (4 mod 2 and 16 mod 4 among
     the one-twist towers of [-3,3]^2), so the mod 2, 4, p and p^2 checks
     of ring_isomorphic mostly become lookups. Validation, the stage-count
-    comparison and n = 0 are answered before the memo, and the prime of
-    the modulus is memoized (_prime_of).
+    comparison and n = 0 are answered before the memo, the prime of the
+    modulus is memoized (_prime_of), and so is each tower's key mod q
+    (_flat_mod), since a tower meets the same few moduli in every pair.
     """
     _check_tower(a, "a")
     _check_tower(b, "b")
@@ -706,8 +745,21 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
 _VERDICTS_CACHED = 1024
 
 
+# (tower, q) pairs whose _flat_mod entries stay cached. A tower meets the
+# same few moduli in every pair it is in: ring_isomorphic over Z on the
+# 2401 ordered pairs of the 49 one-twist towers of [-3,3]^2 (the iso_pairs
+# benchmark towers) touches 166 such keys, and on the 7,750 pairs of the
+# 125 height-3 towers over [-2,2] 318.
+_FLAT_MODS_CACHED = 1024
+
+
+@lru_cache(maxsize=_FLAT_MODS_CACHED)
 def _flat_mod(tower: BottMatrix, q: int) -> tuple:
-    """The entries of tower mod q, row by row, in one flat tuple."""
+    """The entries of tower mod q, row by row, in one flat tuple.
+
+    Memoized on (tower, q): the key is exact, since a BottMatrix is
+    immutable and compares by its entries.
+    """
     return tuple([x % q for row in tower.rows for x in row])
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -289,11 +290,12 @@ class RingElement:
         self.terms = clean
 
     @classmethod
-    def _closed(cls, ring: "BottRing", terms: dict) -> "RingElement":
-        """An element whose frozenset-keyed coefficients already lie in ring's mode; zeros are dropped."""
+    def _closed(cls, ring: "BottRing", terms) -> "RingElement":
+        """An element from (monomial, coefficient) pairs, the monomials frozensets and the
+        coefficients already in ring's mode; zeros are dropped."""
         self = cls.__new__(cls)
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {m: c for m, c in terms if c}
         return self
 
     def is_zero(self) -> bool:
@@ -335,13 +337,13 @@ class RingElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return RingElement._closed(self.ring, out)
+        return RingElement._closed(self.ring, out.items())
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return RingElement._closed(self.ring, {m: -c for m, c in self.terms.items()})
+        return RingElement._closed(self.ring, ((m, -c) for m, c in self.terms.items()))
 
     def __sub__(self, other):
         return self + (-self._coerce_operand(other))
@@ -394,6 +396,17 @@ class RingElement:
         return " + ".join(bits)
 
 
+# Heights whose generator monomials stay cached; every tower the library
+# builds is far lower.
+_MONOMIALS_CACHED = 64
+
+
+@lru_cache(maxsize=_MONOMIALS_CACHED)
+def _generator_monomials(n: int) -> tuple:
+    """The monomials x_0, ..., x_{n-1} as frozensets, shared by every ring of height n."""
+    return tuple([frozenset([i]) for i in range(n)])
+
+
 class BottRing:
     """The cohomology ring of a Bott tower with a chosen coefficient mode."""
 
@@ -422,19 +435,21 @@ class BottRing:
     def line_element(self, coeffs) -> RingElement:
         """Degree-2 class sum coeffs[i] * x_i.
 
-        Over Z a list of ints alone (type int, so no bool) already holds
-        coefficients of the mode, so the element is built unchecked
-        (RingElement._closed). Every other input goes through the coercing
-        constructor (CoeffMode.coerce), which rejects a bool, any value
-        that is not an int or a Fraction, and a value outside the mode.
+        The monomials x_i are the memoized ones of the height
+        (_generator_monomials). Over Z a list of ints alone (type int, so
+        no bool) already holds coefficients of the mode, so the element is
+        built unchecked from its nonzero terms (RingElement._closed).
+        Every other input goes through the coercing constructor
+        (CoeffMode.coerce), which rejects a bool, any value that is not an
+        int or a Fraction, and a value outside the mode.
         """
         coeffs = list(coeffs)
         if len(coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        terms = {frozenset([i]): c for i, c in enumerate(coeffs)}
+        monos = _generator_monomials(self.n)
         if self.mode is CoeffMode.INTEGER and all(type(c) is int for c in coeffs):
-            return RingElement._closed(self, terms)
-        return RingElement(self, terms)
+            return RingElement._closed(self, zip(monos, coeffs))
+        return RingElement(self, dict(zip(monos, coeffs)))
 
     def twist_form(self, j: int) -> RingElement:
         """f_j as a ring element."""
@@ -478,7 +493,7 @@ class BottRing:
         return {m: c for m, c in out.items() if c != 0}
 
     def _multiply(self, a: RingElement, b: RingElement) -> RingElement:
-        if a.ring.matrix != b.ring.matrix:
+        if a.ring is not b.ring and a.ring.matrix != b.ring.matrix:
             raise ValueError("elements live over different Bott matrices")
         columns = self.matrix.columns
         acc: dict = {}
@@ -503,7 +518,7 @@ class BottRing:
                     for mono, cc in self._reduce_counter(exps, c).items():
                         acc[mono] = acc.get(mono, 0) + cc
         if a.ring.mode is b.ring.mode is self.mode:
-            return RingElement._closed(self, acc)
+            return RingElement._closed(self, acc.items())
         return RingElement(self, acc)
 
     def top_class_nonzero(self) -> bool:

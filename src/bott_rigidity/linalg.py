@@ -20,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .core import integer_entries
+
 
 def _cleared_rows(rows) -> tuple[list[list[int]], int]:
     """Scale each row by the lcm of its denominators: (integer rows, scale).
@@ -78,19 +80,34 @@ def _echelon(a: list[list[int]]) -> tuple[int, int]:
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss, fraction-free)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(map(int, r)) for r in rows]
-    rank, sign = _echelon(a)
-    return sign * a[n - 1][n - 1] if rank == n else 0
+    """Exact determinant of a square integer matrix (Bareiss, fraction-free).
+
+    Every entry must be an int: a bool or any other type (a Fraction, a
+    float) raises TypeError naming it, since reading 1/2 as 0 or 1.7 as 1
+    would answer for another matrix.
+    """
+    return _det_in_place([list(integer_entries(r, "det_int")) for r in rows])
 
 
 def det_fraction(rows) -> Fraction:
-    """Determinant of a square matrix with int/Fraction entries."""
+    """Determinant of a square matrix with int/Fraction entries.
+
+    The rows are cleared to integers once (_cleared_rows, which returns new
+    lists), and those are eliminated in place, so the input is never
+    written to: the determinant is that of the cleared rows over their
+    scale.
+    """
     ints, scale = _cleared_rows(rows)
-    return Fraction(det_int(ints), scale)
+    return Fraction(_det_in_place(ints), scale)
+
+
+def _det_in_place(a: list[list[int]]) -> int:
+    """The determinant of square integer rows, eliminating them in place (_echelon)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    rank, sign = _echelon(a)
+    return sign * a[n - 1][n - 1] if rank == n else 0
 
 
 def _expand_minors(minors: dict, row: list[int]) -> dict:

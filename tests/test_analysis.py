@@ -26,10 +26,12 @@ from bott_rigidity import (
     trivialize_stage,
     twist_number,
 )
-from bott_rigidity import analysis, moves, quadratic
+from bott_rigidity import analysis, core, moves, quadratic
 from bott_rigidity.analysis import complexity_oracle
 from bott_rigidity.checks import even_block_forces_even_det, rand_bott
-from bott_rigidity.linalg import det_fraction, det_int, maximal_minors_gcd
+from bott_rigidity.linalg import (
+    _cleared_rows, cofactor_vector, det_fraction, det_int, maximal_minors_gcd, rank_fraction,
+)
 from bott_rigidity.quadratic import square_zero_lines
 
 
@@ -74,9 +76,29 @@ def _sorted_witness(final, basis):
     return witness, inversions
 
 
+def _sorted_last_row(finite, families, cof, mode):
+    """The last row as a sorted member list gives it: the reference for
+    analysis._least_unit_row, which takes it in one pass."""
+    def det(w):
+        return sum(x * y for x, y in zip(cof, w))
+
+    def params(w0, step):
+        return mode.unit_parameters(det(w0), det(step))
+
+    for w in analysis._members(finite, families, params):
+        value = det(w)
+        if value and mode.is_unit(value):
+            return w
+    return None
+
+
+def _typed_row(w):
+    return None if w is None else [(x, type(x)) for x in w]
+
+
 def _clear_caches():
     """Empty every memo the package keeps across calls."""
-    for module in (analysis, quadratic):
+    for module in (analysis, core, quadratic):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
@@ -672,7 +694,7 @@ class TestRingIsomorphic:
         entries = []
         for u in ((2, 0, 1), (Fraction(2), 0, Fraction(1))):
             entry = analysis._row_equation(host, u, CoeffMode.RATIONAL)
-            finite, families, sampled = entry
+            finite, families, sampled, cleared = entry
             assert sampled and isinstance(entry, tuple)
             assert all(isinstance(part, tuple) for part in entry)
             assert all(isinstance(w, tuple) for w in finite + sampled)
@@ -681,10 +703,64 @@ class TestRingIsomorphic:
             # sampled holds the members at |t| <= FAMILY_SAMPLE
             span = range(-analysis.FAMILY_SAMPLE, analysis.FAMILY_SAMPLE + 1)
             assert sampled == analysis._members(finite, families, lambda w0, step: span)
+            # each sampled row carries its cleared integer row (a tuple) and multiplier
+            assert len(cleared) == len(sampled) and all(
+                isinstance(row, tuple) and _cleared_rows([w]) == ([list(row)], mult)
+                for w, (row, mult) in zip(sampled, cleared))
             entries.append(entry)
         assert entries[0] is entries[1]
         info = analysis._row_equation.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_last_row_matches_sorted_members(self, mode):
+        # rows above the last placed as the witness search may place them:
+        # a sampled member of each row equation, independent of the rows
+        # before it; then the last row of each choice, with entry types
+        rng = random.Random(151)
+        found = 0
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            host = rand_bott(rng, n)
+            # a tower against itself always has a unit last row along the identity
+            target = host if rng.random() < 0.5 else rand_bott(rng, n)
+            rows = []
+            for k in range(n):
+                u = tuple(sum(x * r[c] for x, r in zip(target.columns[k], rows))
+                          for c in range(n))
+                finite, families, sampled, _ = analysis._row_equation(host, u, mode)
+                if k == n - 1:
+                    cof = cofactor_vector(rows)
+                    got = analysis._least_unit_row(finite, families, cof, mode)
+                    assert _typed_row(got) == _typed_row(
+                        _sorted_last_row(finite, families, cof, mode)), (host, target, rows)
+                    found += got is not None
+                    break
+                options = [w for w in sampled if rank_fraction(rows + [w]) == k + 1]
+                if not options:
+                    break
+                # the search tries the smallest rows first
+                rows.append(rng.choice(options[:3]))
+        assert found >= 30
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_last_row_keeps_the_first_listed_of_equal_rows(self, mode):
+        # a family member equal in value to an earlier candidate of another
+        # type is a repeat: the earlier one, with its entry types, is chosen
+        one = (Fraction(1), Fraction(0), Fraction(0))
+        cof = (1, 0, 0)
+        # over Q the parameters are Fractions, so a family member is one too
+        t = Fraction if mode is CoeffMode.RATIONAL else int
+        cases = [
+            (((1, 0, 0),), ((one, (0, 0, 1)),), [(1, int), (0, int), (0, int)]),
+            ((), ((one, (0, 0, 1)), ((1, 0, 0), (0, 0, 1))), [(1, Fraction), (0, Fraction), (0, Fraction)]),
+            (((1, 1, 0),), (((1, 0, 0), (0, 0, 1)),), [(1, t), (0, t), (0, t)]),
+            (((0, 0, 0), (0, 1, 1)), (), None),
+        ]
+        for finite, families, want in cases:
+            got = analysis._least_unit_row(finite, families, cof, mode)
+            assert _typed_row(got) == want
+            assert _typed_row(_sorted_last_row(finite, families, cof, mode)) == want
 
     def test_each_row_equation_solved_once(self, monkeypatch):
         # every row of the witness search, the last one included, reads
@@ -931,7 +1007,7 @@ class TestModularIso:
         # the most recent keys were all still cached
         assert [modular_iso_exists(a, b, 5) for a, b in cases[-size:]] == got[-size:]
         assert analysis._modular_verdict.cache_info().misses == info.misses
-        for module in (analysis, quadratic):
+        for module in (analysis, core, quadratic):
             for fn in vars(module).values():
                 if hasattr(fn, "cache_info"):
                     assert fn.cache_info().maxsize is not None, fn

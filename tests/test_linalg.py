@@ -5,11 +5,13 @@ independent cofactor-expansion oracle implemented here.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bott_rigidity import linalg
@@ -122,6 +124,38 @@ class TestDeterminant:
     def test_fraction_entries(self):
         rows = [[Fraction(1, 2), 1], [1, Fraction(1, 2)]]
         assert det_fraction(rows) == Fraction(-3, 4)
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 1.7, True])
+    def test_det_int_rejects_non_int_entries(self, bad):
+        # each used to be truncated: 1/2 read as 0, 1.7 as 1
+        for rows in ([[bad]], [[1, 0], [0, bad]]):
+            with pytest.raises(TypeError, match=re.escape(repr(bad))):
+                det_int(rows)
+
+    def test_det_fraction_is_the_cleared_determinant_over_the_scale(self):
+        rng = random.Random(157)
+
+        def entry(kind):
+            if kind == "int" or (kind == "mixed" and rng.random() < 0.6):
+                return rng.randint(-6, 6)
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+        cases = [[]]
+        for kind in ("int", "fraction", "mixed"):
+            for _ in range(100):
+                n = rng.randint(1, 5)
+                rows = [[entry(kind) for _ in range(n)] for _ in range(n)]
+                cases.append(rows)
+                if n > 1:
+                    # singular: one row a multiple of another
+                    f = rng.randint(-2, 2)
+                    cases.append(rows[:-1] + [[f * x for x in rows[0]]])
+        for rows in cases:
+            before = _typed(rows)
+            ints, scale = _cleared_rows(rows)
+            assert _typed(det_fraction(rows)) == _typed(Fraction(det_int(ints), scale))
+            assert _typed(rows) == before
+        assert sum(det_fraction(rows) == 0 for rows in cases) >= 100
 
 
 class TestCofactorVector:

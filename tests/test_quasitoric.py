@@ -27,7 +27,7 @@ from bott_rigidity.checks import (
     rand_bott,
 )
 from bott_rigidity.linalg import det_int
-from bott_rigidity.quasitoric import _recognition, _reordered_rows
+from bott_rigidity.quasitoric import _recognition, _reordered_rows, principal_minor
 
 IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 CYCLE_2 = [[1, 1], [2, 1]]
@@ -71,6 +71,11 @@ class TestValidate:
         assert not validate_characteristic([[0, 1], [0, 1]])
         assert validate_characteristic(CYCLE_2)
         assert validate_characteristic(CYCLE_3)
+
+    def test_principal_minor_rejects_non_int_entries(self):
+        # the 1.5 used to be truncated to 1, giving the minor 1
+        with pytest.raises(TypeError, match="1.5"):
+            principal_minor([[1.5, 0], [0, 1]], [0, 1])
 
     def test_cycle_determinants(self):
         assert det_int(CYCLE_2) == -1

@@ -284,14 +284,16 @@ class TestIntegerLineElement:
         return [(m, c, type(c)) for m, c in elem.terms.items()]
 
     def test_matches_constructor_path(self):
+        # every height 0..8; the zero coefficients are dropped
         rng = random.Random(139)
-        for _ in range(200):
-            n = rng.randint(0, 6)
-            ring = BottRing(rand_bott(rng, n), CoeffMode.INTEGER)
-            coeffs = [rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
-            built = RingElement(ring, {frozenset([i]): c for i, c in enumerate(coeffs)})
-            assert self._typed(ring.line_element(coeffs)) == self._typed(built)
-            assert self._typed(ring.line_element(tuple(coeffs))) == self._typed(built)
+        for n in range(9):
+            for _ in range(25):
+                ring = BottRing(rand_bott(rng, n), CoeffMode.INTEGER)
+                coeffs = [rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)]
+                built = RingElement(ring, {frozenset([i]): c for i, c in enumerate(coeffs)})
+                assert self._typed(ring.line_element(coeffs)) == self._typed(built)
+                assert self._typed(ring.line_element(tuple(coeffs))) == self._typed(built)
+                assert len(built.terms) == sum(1 for c in coeffs if c)
 
     def test_other_inputs_are_coerced(self):
         ring = BottRing(HIRZEBRUCH, CoeffMode.INTEGER)
