@@ -751,10 +751,14 @@ class TestRingIsomorphic:
         cof = (1, 0, 0)
         # over Q the parameters are Fractions, so a family member is one too
         t = Fraction if mode is CoeffMode.RATIONAL else int
+
+        def typed(kind):
+            return [(1, kind), (0, kind), (0, kind)]
+
         cases = [
-            (((1, 0, 0),), ((one, (0, 0, 1)),), [(1, int), (0, int), (0, int)]),
-            ((), ((one, (0, 0, 1)), ((1, 0, 0), (0, 0, 1))), [(1, Fraction), (0, Fraction), (0, Fraction)]),
-            (((1, 1, 0),), (((1, 0, 0), (0, 0, 1)),), [(1, t), (0, t), (0, t)]),
+            (((1, 0, 0),), ((one, (0, 0, 1)),), typed(int)),
+            ((), ((one, (0, 0, 1)), ((1, 0, 0), (0, 0, 1))), typed(Fraction)),
+            (((1, 1, 0),), (((1, 0, 0), (0, 0, 1)),), typed(t)),
             (((0, 0, 0), (0, 1, 1)), (), None),
         ]
         for finite, families, want in cases:
