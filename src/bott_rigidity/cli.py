@@ -207,8 +207,7 @@ def cmd_classify(args) -> int:
         sys.stderr.write(
             f"refusing to list C({n - 1}, 2) = {pairs} Pontrjagin products (guard {CLASSIFY_GUARD})\n")
         return 3
-    corpus = [list(v) for v in product(range(-bound, bound + 1), repeat=n - 1)]
-    classes = classify(corpus)
+    classes = classify(product(range(-bound, bound + 1), repeat=n - 1))
     payload = {
         "n": n,
         "bound": bound,
@@ -272,15 +271,19 @@ def cmd_selftest(args) -> int:
 # entry point
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name.
+def _build_parser():
+    """The top-level parser, and the parser and plain spec of each subcommand by name.
+
+    The plain spec (see _plain_spec) is read off the Action objects that
+    add_argument returned, which leave out -h/--help, so each flag is
+    declared here only.
 
     Each flag sits on the subcommands that read it; elsewhere it is a
     usage error rather than silently ignored.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", dest="output_format",
-                        choices=["json", "csv", "text"], default="json")
+    output_format = common.add_argument("--format", dest="output_format",
+                                        choices=["json", "csv", "text"], default="json")
 
     parser = argparse.ArgumentParser(
         prog="bott-rigidity",
@@ -288,39 +291,55 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                     "and Bott recognition, all in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
+    declared = {}
 
-    def add(name: str, summary: str) -> argparse.ArgumentParser:
-        subparsers[name] = sub.add_parser(name, parents=[common], help=summary)
-        return subparsers[name]
+    def add(name: str, summary: str):
+        """The add_argument of a new subcommand, recording each Action it returns."""
+        p = subparsers[name] = sub.add_parser(name, parents=[common], help=summary)
+        actions = declared[name] = [output_format]
+        return lambda *names, **kwargs: actions.append(p.add_argument(*names, **kwargs))
 
-    p = add("twist", "greedy twist number of a tower matrix")
-    p.add_argument("matrix_file")
-    p.add_argument("--ring", choices=[m.value for m in CoeffMode], default="z",
-                   help="coefficient ring (default z)")
-    p.add_argument("--certified", action="store_true",
-                   help="exit 3 unless minimality was certified by the line bound")
+    arg = add("twist", "greedy twist number of a tower matrix")
+    arg("matrix_file")
+    arg("--ring", choices=[m.value for m in CoeffMode], default="z",
+        help="coefficient ring (default z)")
+    arg("--certified", action="store_true",
+        help="exit 3 unless minimality was certified by the line bound")
 
-    p = add("equiv", "equivalence of two one-twist vectors")
-    p.add_argument("vector_file_a")
-    p.add_argument("vector_file_b")
+    arg = add("equiv", "equivalence of two one-twist vectors")
+    arg("vector_file_a")
+    arg("vector_file_b")
 
-    p = add("classify", "partition a box of one-twist vectors")
-    p.add_argument("--bound", type=int, default=2,
-                   help="radius of the enumeration box (default 2)")
-    p.add_argument("--n", type=int, required=True,
-                   help="tower height; vectors live in [-bound, bound]^(n-1)")
+    arg = add("classify", "partition a box of one-twist vectors")
+    arg("--bound", type=int, default=2,
+        help="radius of the enumeration box (default 2)")
+    arg("--n", type=int, required=True,
+        help="tower height; vectors live in [-bound, bound]^(n-1)")
 
-    p = add("recognize", "decide whether a characteristic matrix is a tower")
-    p.add_argument("matrix_file")
+    arg = add("recognize", "decide whether a characteristic matrix is a tower")
+    arg("matrix_file")
 
-    p = add("selftest", "run the seeded property-check battery")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized property sampling")
-    return parser, subparsers
+    arg = add("selftest", "run the seeded property-check battery")
+    arg("--seed", type=int, default=0,
+        help="seed for randomized property sampling")
+    return parser, subparsers, {name: _plain_spec(a) for name, a in declared.items()}
+
+
+def _plain_spec(actions):
+    """(positionals, options by option string, required options, defaults) of a subcommand."""
+    for a in actions:
+        # _plain_args reads one-token positionals, one-token stores and
+        # store-true flags, and converts with int only
+        assert type(a) is argparse._StoreTrueAction or (
+            type(a) is argparse._StoreAction and a.nargs is None and a.type in (None, int)), a
+    return (tuple(a for a in actions if not a.option_strings),
+            {s: a for a in actions for s in a.option_strings},
+            frozenset(a for a in actions if a.option_strings and a.required),
+            {a.dest: a.default for a in actions})
 
 
 # parsing leaves the parsers unchanged, so one build serves every call
-_PARSER, _SUBPARSERS = _build_parser()
+_PARSER, _SUBPARSERS, _PLAIN = _build_parser()
 HANDLERS = {
     "twist": cmd_twist,
     "equiv": cmd_equiv,
@@ -330,21 +349,73 @@ HANDLERS = {
 }
 
 
+def _plain_args(argv):
+    """The Namespace argparse returns for a plain command line; None for any other.
+
+    argv[0] names a subcommand. A plain line has only positionals that
+    do not start with "-" and exact option strings of that subcommand
+    (not -h/--help). A store-true flag takes no value; every other
+    option takes the next token, which does not start with "-", is one
+    of the option's choices when it has them, and for type=int is at
+    most 99 ASCII digits. The positionals are exactly as many as
+    declared, and every required option is present. argparse reads such
+    a line token by token as here, so the Namespace is the one it
+    returns. Abbreviations, "--x=v", negative numbers, "--", help and
+    every usage error are left to argparse.
+    """
+    positionals, options, required, defaults = _PLAIN[argv[0]]
+    values = dict(defaults, command=argv[0])
+    seen = set()
+    given = 0
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if given == len(positionals):
+                return None
+            values[positionals[given].dest] = token
+            given += 1
+            continue
+        action = options.get(token)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        # a missing value reads as "-", which is refused like an option
+        value = next(tokens, "-")
+        if value[:1] == "-" or action.choices is not None and value not in action.choices:
+            return None
+        if action.type is int:
+            if not (value.isascii() and value.isdigit() and len(value) < 100):
+                return None
+            value = int(value)
+        values[action.dest] = value
+    if given != len(positionals) or not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def _parse(argv):
     """_PARSER.parse_args(argv), parsing a leading subcommand's arguments once.
 
     Given the subcommand first, the top-level parser would only hand the
-    rest to that subcommand's parser and report what it leaves over, so
-    the subcommand's parser is called directly and the leftovers are
-    reported by the top-level parser, with its prefix. Any other command
-    line (none, -h, an unknown command, an option before the command)
-    goes through the full parser.
+    rest to that subcommand's parser and report what it leaves over. A
+    plain line (see _plain_args) is read without argparse. Any other line
+    is parsed by the subcommand's parser directly, and the leftovers are
+    reported by the top-level parser, with its prefix. A command line
+    without a leading subcommand (none, -h, an unknown command, an option
+    before the command) goes through the full parser. So argparse alone
+    writes help text and usage errors.
     """
     if argv is None:
         argv = sys.argv[1:]
     sub = _SUBPARSERS.get(argv[0]) if argv else None
     if sub is None:
         return _PARSER.parse_args(argv)
+    args = _plain_args(argv)
+    if args is not None:
+        return args
     args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         _PARSER.error("unrecognized arguments: " + " ".join(extras))

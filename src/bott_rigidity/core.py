@@ -30,7 +30,8 @@ def integer_entries(values, where: str) -> tuple[int, ...]:
     """
     out = tuple(values)
     for v in out:
-        if isinstance(v, bool) or not isinstance(v, int):
+        # exact ints, the common case, skip the two isinstance calls
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
             raise TypeError(f"{where}: entry {v!r} is not an integer")
     return out
 

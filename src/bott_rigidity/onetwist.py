@@ -116,45 +116,36 @@ def _class_key(vec):
     return (tuple(sorted(abs(x) for x in vec)), tuple(x % 2 for x in vec), vec)
 
 
-def _invariant(vec):
-    """Complete invariant of the one-twist criterion, in closed form.
+def classify(corpus) -> list[dict]:
+    """Partition a corpus of twist vectors into equivalence classes.
 
-    Let m be the number of nonzero entries. For m >= 2 an entry is
-    nonzero exactly when it has a nonzero product with another entry, so
-    a matching permutation sends nonzero slots to nonzero slots, and m
+    Each vector is keyed once by _class_key, and the vectors are grouped
+    by an invariant read off that key, which is complete for the
+    one-twist criterion, so no pair is compared. Each class reports the
+    lexicographically least representative by (sorted absolute values,
+    parities), its members in input order, and the shared Pontrjagin
+    multiset; classes are sorted by that key.
+
+    The invariant: the key holds the sorted |a_i| and the parities of the
+    vector, so the number of odd entries is the sum of the parities. Let
+    m be the number of nonzero entries. For m >= 2 an entry is nonzero
+    exactly when it has a nonzero product with another entry, so a
+    matching permutation sends nonzero slots to nonzero slots, and m
     itself is recovered from the C(m, 2) nonzero products.
 
     m >= 3: for any slot i pick nonzero slots j, k other than i; then
     |a_i|^2 = |a_i a_j| |a_i a_k| / |a_j a_k|, so a matching permutation
     matches every |a_i|. Conversely equal sorted |a_i| give a permutation
     that matches products, and parities too since |x| and x share parity.
-    Key: the sorted absolute values.
+    Invariant: the sorted absolute values.
 
     m = 2: the one nonzero product and the number of odd entries are
     preserved. Conversely, with the same odd count the two nonzero
     entries pair up parity for parity and the zeros pair with zeros, and
-    every other product is 0 on both sides. Key: the product of the two
-    nonzero |a_i| and the odd count.
+    every other product is 0 on both sides. Invariant: the product of the
+    two nonzero |a_i|, the two largest, and the odd count.
 
     m <= 1: every product is 0, so only the odd count matters.
-    """
-    nz = [abs(x) for x in vec if x]
-    if len(nz) >= 3:
-        return (3, tuple(sorted(abs(x) for x in vec)))
-    odd = sum(x % 2 for x in vec)
-    if len(nz) == 2:
-        return (2, nz[0] * nz[1], odd)
-    return (1, odd)
-
-
-def classify(corpus) -> list[dict]:
-    """Partition a corpus of twist vectors into equivalence classes.
-
-    Vectors are grouped by _invariant, which is complete for the one-twist
-    criterion, so no pair is compared. Each class reports the
-    lexicographically least representative by (sorted absolute values,
-    parities), its members in input order, and the shared Pontrjagin
-    multiset; classes are sorted by that key.
     """
     vecs = [_vec(v) for v in corpus]
     if vecs:
@@ -164,17 +155,26 @@ def classify(corpus) -> list[dict]:
                 raise ValueError("corpus vectors must have uniform length")
     groups: dict = {}
     for v in vecs:
-        groups.setdefault(_invariant(v), []).append(v)
+        key = _class_key(v)
+        sorted_abs, parities, _ = key
+        m = len(sorted_abs) - sorted_abs.count(0)
+        if m >= 3:
+            invariant = (3, sorted_abs)
+        elif m == 2:
+            invariant = (2, sorted_abs[-1] * sorted_abs[-2], sum(parities))
+        else:
+            invariant = (1, sum(parities))
+        groups.setdefault(invariant, []).append(key)
+    # a key ends with its vector, so the least key is the representative's,
+    # and equal keys hold equal vectors, of which min keeps the first
     classes = []
-    for members in groups.values():
-        rep = min(members, key=_class_key)
+    for cid, (rep_key, keys) in enumerate(sorted((min(keys), keys) for keys in groups.values())):
+        rep = rep_key[2]
         classes.append({
             "representative": list(rep),
-            "members": [list(v) for v in members],
-            "size": len(members),
+            "members": [list(key[2]) for key in keys],
+            "size": len(keys),
             "pontrjagin": list(pontrjagin_invariant(rep)),
+            "class_id": cid,
         })
-    classes.sort(key=lambda c: _class_key(tuple(c["representative"])))
-    for cid, c in enumerate(classes):
-        c["class_id"] = cid
     return classes

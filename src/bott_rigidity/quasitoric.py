@@ -12,6 +12,7 @@ no minor scan runs, and subtracting the identity yields the Bott matrix.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations
 
 from .core import BottMatrix, integer_entries
@@ -28,7 +29,7 @@ def normalize_characteristic(rows):
         raise ValueError("characteristic matrix must be square")
     if any(row[i] not in (1, -1) for i, row in enumerate(mat)):
         return None
-    return [[row[i] * x for x in row] for i, row in enumerate(mat)]
+    return [list(row) if row[i] == 1 else [-x for x in row] for i, row in enumerate(mat)]
 
 
 def principal_minor(rows, subset) -> int:
@@ -40,19 +41,25 @@ def _stage_order(mat):
     """Topological order of the support of a normalized matrix; None on a cycle.
 
     Edges i -> j are the nonzero off-diagonal entries, and each position
-    takes the first eligible stage. Reordered by it, the matrix is
-    unitriangular.
+    takes the least unplaced stage all of whose predecessors are placed,
+    found by keeping each stage's count of unplaced predecessors, in
+    O(n^2) time. Reordered by it, the matrix is unitriangular.
     """
     n = len(mat)
+    # nonzero entries in each column, less the diagonal 1; placing a stage
+    # decrements its row's support, its own diagonal included, so a placed
+    # stage counts -1 and the least stage counting 0 is the next to place
+    indegree = [n - 1 - col.count(0) for col in zip(*mat)]
     sigma = [None] * n
     for pos in range(n):
-        for cand in range(n):
-            if sigma[cand] is None and all(sigma[i] is not None or mat[i][cand] == 0
-                                           for i in range(n) if i != cand):
-                sigma[cand] = pos
-                break
-        else:
+        try:
+            cand = indegree.index(0)
+        except ValueError:
             return None
+        sigma[cand] = pos
+        for j, x in enumerate(mat[cand]):
+            if x:
+                indegree[j] -= 1
     if any(mat[i][j] and sigma[i] > sigma[j] for i in range(n) for j in range(n)):
         raise AssertionError("stage order leaves a nonzero entry below the diagonal")
     return tuple(sigma)
@@ -105,15 +112,20 @@ def is_bott(rows):
 
 
 def to_bott_matrix(rows, sigma) -> BottMatrix:
-    """Reorder stages by sigma and subtract the identity.
+    """Reorder stages by sigma (stage i moves to sigma[i]) and subtract the identity.
 
-    sigma is the caller's, so the result is checked by the constructor:
-    one that leaves a nonzero entry on or below the diagonal raises
-    ValueError.
+    sigma is the caller's, so it is checked: anything but a sequence of
+    ints (not bools) whose sorted values are range(n) raises ValueError,
+    and so does a permutation that leaves a nonzero entry on or below the
+    diagonal, which the constructor rejects.
     """
     mat = normalize_characteristic(rows)
     if mat is None:
         raise ValueError("input is not normalizable to a unit diagonal")
+    if not (isinstance(sigma, Sequence)
+            and all(isinstance(s, int) and not isinstance(s, bool) for s in sigma)
+            and sorted(sigma) == list(range(len(mat)))):
+        raise ValueError(f"sigma {sigma!r} is not a permutation of range({len(mat)})")
     return BottMatrix(_reordered_rows(mat, sigma))
 
 

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import random
 import sys
 
 import pytest
@@ -471,6 +472,12 @@ class TestFlags:
         ["classify", "--n", "2", "--b", "1"],
         ["--format", "json", "equiv", "A", "B"],
         ["twist", "M", "--cert"], ["recognize", "C", "extra"],
+        # plain lines, read without argparse
+        ["equiv", "A", "--format", "csv", "B"],
+        ["classify", "--bound", "1", "--n", "3", "--format", "text"],
+        ["classify", "--n", "03", "--bound", "0", "--n", "2"],
+        ["twist", "--certified", "M", "--ring", "q", "--certified"],
+        ["recognize", "--format", "text", "C"], ["selftest", "--seed", "1", "--format", "csv"],
     ], ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_direct_dispatch_matches_the_full_parser(self, tmp_path, capsys, argv):
         # a leading subcommand is parsed by its own parser alone; the exit
@@ -490,6 +497,88 @@ class TestFlags:
         direct = outcome(lambda: main(argv))
         full = outcome(lambda: cli._run(cli._PARSER.parse_args(argv)))
         assert direct == full
+
+    @pytest.mark.parametrize("argv, plain", [
+        (["equiv", "A", "B"], True),
+        (["twist", "M", "--certified", "--ring", "z2local"], True),
+        (["classify", "--n", "3", "--n", "4"], True),
+        (["classify", "--n", "9" * 99], True),
+        (["classify", "--n", "9" * 100], False),
+        (["classify", "--n", "-3"], False),
+        (["classify", "--n", "\u0663"], False),
+        (["classify", "--n", " 3"], False),
+        (["classify", "--n", "3_0"], False),
+        (["classify", "--n=3"], False),
+        (["classify", "--bound", "1"], False),
+        (["classify", "--n", "3", "--b", "1"], False),
+        (["twist", "M", "--ring", "x"], False),
+        (["twist", "M", "--format"], False),
+        (["twist", "M", "--certified", "1"], False),
+        (["twist", "M", "-h"], False),
+        (["equiv", "A", "-"], False),
+        (["equiv", "--", "A", "B"], False),
+        (["equiv", "A", "B", "C"], False),
+        (["recognize", "C", "--seed", "1"], False),
+    ])
+    def test_plain_lines_and_fall_throughs(self, argv, plain):
+        # a plain line gives argparse's Namespace; any other returns None
+        # and is left to argparse
+        ns = cli._plain_args(argv)
+        assert (ns is not None) == plain
+        if plain:
+            want, extras = cli._SUBPARSERS[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            assert (ns, extras) == (want, [])
+
+    # every option of every subcommand, abbreviations, "=" forms, numbers
+    # argparse reads but the plain path leaves to it, bad choices, help
+    # and separators
+    TOKENS = (["--format", "--ring", "--certified", "--bound", "--n", "--seed", "-h",
+               "--help", "--form", "--f", "--r", "--cert", "--b", "--bo", "--se", "--s",
+               "-n", "--format=csv", "--n=3", "--bound=1", "--ring=q", "--seed=2",
+               "--certified=1", "json", "csv", "text", "xml", "JSON", "z", "q", "z2local",
+               "Z", "0", "1", "2", "3", "03", "007", "-3", "-1", "\u0663", " 3", "3 ", "",
+               "-", "--", "3_0", "+3", "1" * 100, "9" * 99, "A", "B", "a.json", "twist",
+               "x y", "-x.json"])
+
+    def test_plain_parse_agrees_with_argparse(self):
+        # differential check over a seeded corpus: whenever the plain path
+        # accepts a line, argparse reads the same values, of the same types,
+        # and leaves nothing over. Half the lines are drawn from TOKENS
+        # alone, half are well-formed lines with up to two tokens inserted.
+        rng = random.Random(2024)
+        per_command = 25_000
+        accepted = {}
+        for name, sub in cli._SUBPARSERS.items():
+            positionals, options, _, _ = cli._PLAIN[name]
+            accepted[name] = 0
+            for _ in range(per_command):
+                if rng.random() < 0.5:
+                    tokens = rng.choices(self.TOKENS, k=rng.randint(0, 6))
+                else:
+                    tokens = [rng.choice(("A", "B", "")) for _ in positionals]
+                    for opt in rng.sample(sorted(options), rng.randint(0, len(options))):
+                        at = rng.randint(0, len(tokens))
+                        action = options[opt]
+                        if action.nargs == 0:
+                            tokens[at:at] = [opt]
+                        else:
+                            value = (rng.choice(action.choices) if action.choices
+                                     else str(rng.randint(0, 12)))
+                            tokens[at:at] = [opt, value]
+                    for _ in range(rng.choice((0, 0, 1, 2))):
+                        tokens.insert(rng.randint(0, len(tokens)), rng.choice(self.TOKENS))
+                argv = [name] + tokens
+                ns = cli._plain_args(argv)
+                if ns is None:
+                    continue
+                accepted[name] += 1
+                want, extras = sub.parse_known_args(tokens, argparse.Namespace(command=name))
+                assert extras == [], argv
+                assert (sorted((k, type(v), v) for k, v in vars(ns).items())
+                        == sorted((k, type(v), v) for k, v in vars(want).items())), argv
+        # each subcommand meets many plain lines and many it leaves to argparse
+        assert all(per_command // 20 < count < per_command // 2 for count in accepted.values()), accepted
 
     def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
         # a good command line and then a usage error construct no parser

@@ -169,3 +169,62 @@ class TestClassify:
     def test_duplicates_share_a_class(self):
         out = classify([(1, 1), (1, 1), (-1, 1)])
         assert len(out) == 1 and out[0]["size"] == 3
+
+    def test_matches_grouping_by_invariant_and_min_key(self):
+        # reference: group by the closed-form invariant of each vector,
+        # then key every member again to pick the least
+        def class_key(vec):
+            return (tuple(sorted(abs(x) for x in vec)), tuple(x % 2 for x in vec), vec)
+
+        def invariant(vec):
+            nz = [abs(x) for x in vec if x]
+            if len(nz) >= 3:
+                return (3, tuple(sorted(abs(x) for x in vec)))
+            odd = sum(x % 2 for x in vec)
+            if len(nz) == 2:
+                return (2, nz[0] * nz[1], odd)
+            return (1, odd)
+
+        def reference(corpus):
+            vecs = [c.alpha if isinstance(c, OneTwistClass) else tuple(c) for c in corpus]
+            groups = {}
+            for v in vecs:
+                groups.setdefault(invariant(v), []).append(v)
+            classes = []
+            for members in groups.values():
+                rep = min(members, key=class_key)
+                classes.append({
+                    "representative": list(rep),
+                    "members": [list(v) for v in members],
+                    "size": len(members),
+                    "pontrjagin": list(pontrjagin_invariant(rep)),
+                })
+            classes.sort(key=lambda c: class_key(tuple(c["representative"])))
+            for cid, c in enumerate(classes):
+                c["class_id"] = cid
+            return classes
+
+        def items(classes):
+            # the fields in order, as a caller iterating a class sees them
+            return [list(c.items()) for c in classes]
+
+        rng = random.Random(149)
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            bound = rng.randint(0, 6)
+            pool = [tuple(rng.randint(-bound, bound) for _ in range(k))
+                    for _ in range(rng.randint(1, 12))]
+            # duplicates, signed permutations of pool vectors, zeros, and
+            # members given as OneTwistClass
+            corpus = []
+            for _ in range(rng.randint(0, 40)):
+                v = list(rng.choice(pool))
+                rng.shuffle(v)
+                v = [rng.choice((1, -1)) * x for x in v]
+                corpus.append(OneTwistClass(v) if rng.random() < 0.2 else v)
+            corpus += [(0,) * k] * rng.randint(0, 2)
+            rng.shuffle(corpus)
+            assert items(classify(corpus)) == items(reference(corpus)), corpus
+        for k, bound in [(1, 3), (2, 4), (3, 3), (4, 2)]:
+            corpus = list(product(range(-bound, bound + 1), repeat=k))
+            assert items(classify(corpus)) == items(reference(corpus))

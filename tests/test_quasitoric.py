@@ -27,7 +27,7 @@ from bott_rigidity.checks import (
     rand_bott,
 )
 from bott_rigidity.linalg import det_int
-from bott_rigidity.quasitoric import _recognition, _reordered_rows, principal_minor
+from bott_rigidity.quasitoric import _recognition, _reordered_rows, _stage_order, principal_minor
 
 IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 CYCLE_2 = [[1, 1], [2, 1]]
@@ -190,6 +190,42 @@ class TestIsBott:
         with pytest.raises(ValueError, match="principal-minor scan"):
             is_bott(cyc)
 
+    def test_stage_order_matches_first_eligible_scan(self):
+        # reference: each position rescans the stages for the first one
+        # whose predecessors are all placed, O(n^3)
+        def first_eligible(mat):
+            n = len(mat)
+            sigma = [None] * n
+            for pos in range(n):
+                for cand in range(n):
+                    if sigma[cand] is None and all(sigma[i] is not None or mat[i][cand] == 0
+                                                   for i in range(n) if i != cand):
+                        sigma[cand] = pos
+                        break
+                else:
+                    return None
+            return tuple(sigma)
+
+        rng = random.Random(131)
+        mats = [normalize_characteristic(IDENTITY_3), normalize_characteristic(CYCLE_3)]
+        for _ in range(150):
+            n = rng.randint(1, 13)
+            mats.append(normalize_characteristic(
+                scramble(rng, from_bott_matrix(rand_bott(rng, n, bound=rng.randint(1, 3))))))
+        for _ in range(150):
+            # unit diagonal, random support of random density: sparse ones
+            # are mostly acyclic, dense ones cyclic
+            n = rng.randint(1, 13)
+            density = rng.random() / 2
+            mats.append([[1 if i == j else rng.choice((-2, -1, 1, 2)) * (rng.random() < density)
+                          for j in range(n)] for i in range(n)])
+        for _ in range(50):
+            hs = [rng.choice((-3, -1, 1, 2)) for _ in range(rng.randint(2, 13))]
+            mats.append(normalize_characteristic(scramble(rng, cycle_matrix(hs))))
+        orders = [_stage_order(mat) for mat in mats]
+        assert orders == [first_eligible(mat) for mat in mats]
+        assert orders.count(None) >= 100 and len(mats) - orders.count(None) >= 200
+
     def test_factorial_scan_guard(self):
         big = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
         with pytest.raises(ValueError):
@@ -236,6 +272,19 @@ class TestRoundtrip:
         rows = from_bott_matrix(BottMatrix([[0, 2], [0, 0]]))
         with pytest.raises(ValueError, match="below or on the diagonal"):
             to_bott_matrix(rows, (1, 0))
+
+    @pytest.mark.parametrize("sigma", [
+        (-3, 1, 2),     # read as (0, 1, 2) through negative indexing
+        (0, 1, 2, 3),   # one stage too many
+        (0, 1),         # an IndexError
+        (0, 0, 2),      # reported as an entry below the diagonal
+        (0, 1, 2.0), (False, True, 2), "012", {0, 1, 2}, None,
+    ])
+    def test_to_bott_rejects_a_sigma_that_is_no_permutation(self, sigma):
+        rows = [[1, 2, 0], [0, 1, 0], [0, 0, 1]]
+        assert to_bott_matrix(rows, (0, 1, 2)) == BottMatrix([[0, 2, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="is not a permutation of range"):
+            to_bott_matrix(rows, sigma)
 
     def test_to_bott_rejects_zero_diagonal(self):
         with pytest.raises(ValueError):

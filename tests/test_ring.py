@@ -7,6 +7,8 @@ confluence oracle re-derives reductions in randomized rewrite order.
 import copy
 import pickle
 import random
+import re
+from enum import IntEnum
 from fractions import Fraction
 from itertools import islice
 
@@ -30,6 +32,7 @@ from bott_rigidity import (
     whitney_sum_trivial,
 )
 from bott_rigidity.checks import rand_bott, random_order_reduction
+from bott_rigidity.core import integer_entries
 from bott_rigidity.moves import _trivialized
 
 HIRZEBRUCH = BottMatrix([[0, 1], [0, 0]])
@@ -52,6 +55,18 @@ class TestBottMatrix:
             BottMatrix.from_last_column([bad, 2])
         with pytest.raises(TypeError, match="not an integer"):
             inverse_pair_coefficient_condition(HIRZEBRUCH, [bad, 0])
+
+    def test_integer_entries_accepts_exactly_the_non_bool_ints(self):
+        # exact ints take a fast path; every other value still gets both
+        # isinstance checks, so the verdicts are unchanged
+        class Level(IntEnum):
+            LOW = 2
+
+        assert integer_entries([3, -1, 0, Level.LOW], "v") == (3, -1, 0, Level.LOW)
+        assert type(integer_entries([Level.LOW], "v")[0]) is Level
+        for bad in (True, False, 2.0, Fraction(2), "2"):
+            with pytest.raises(TypeError, match=re.escape(f"v: entry {bad!r} is not an integer")):
+                integer_entries([1, bad], "v")
 
     def test_trusted_matches_validating_constructor(self):
         # _trusted skips only checks that rows built from ints already pass;
