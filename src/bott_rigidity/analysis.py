@@ -23,6 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import isqrt
 from operator import mul
+from typing import NamedTuple
 
 from .core import BottMatrix, BottRing, CoeffMode, integer_entries
 from .linalg import (
@@ -371,32 +372,56 @@ def _iso_moduli(a: BottMatrix, b: BottMatrix, mode: CoeffMode):
 
     Only a prime that is not a unit of the coefficient ring can obstruct:
     2 and the odd primes of the entries over Z, only 2 over Z_(2), none
-    over Q.
+    over Q. The odd moduli merge the two towers' sorted tuples
+    (_tower_facts), which are mostly equal or empty.
     """
     if mode.is_unit(2):
         return (), ()
-    n = a.n
-    odd = {p for t in (a, b) for p in _odd_scan_primes(t) if not mode.is_unit(p)}
-    odd_moduli = sorted(q for p in odd for q in (p, p * p) if q ** n <= ODD_SCAN_LIMIT)
-    return (2, 4, *odd_moduli), (8,)
+    if mode.is_unit(3):
+        # Z_(2): 3, and so every odd prime, is a unit
+        return (2, 4), (8,)
+    odd, other = _tower_facts(a).odd_moduli, _tower_facts(b).odd_moduli
+    if other != odd:
+        odd = tuple(sorted({*odd, *other})) if odd and other else odd or other
+    return (2, 4, *odd), (8,)
 
 
-# Towers whose odd scan primes stay cached. The iso_pairs benchmark draws
-# its pairs from 49 towers and the height-3 box [-2,2] holds 125, so a
-# scan over all pairs of a tower set tests each tower once.
-@lru_cache(maxsize=1024)
-def _odd_scan_primes(tower: BottMatrix) -> frozenset:
-    """The odd primes p with p**n <= ODD_SCAN_LIMIT that divide a nonzero entry of tower.
+class _TowerFacts(NamedTuple):
+    """What ring_isomorphic reads off one tower before it looks at the pair."""
+    tower: BottMatrix
+    # the number of square-zero lines (quadratic.square_zero_lines)
+    lines: int
+    # q = p and p*p for each odd prime p dividing a nonzero entry, with
+    # q**n <= ODD_SCAN_LIMIT, ascending
+    odd_moduli: tuple
 
-    No larger prime gives a modulus. A tower with a nonzero entry has
-    n >= 2, so each such p is at most isqrt(ODD_SCAN_LIMIT): only those
-    odd primes are tried, each by divisibility, and no entry is factored.
+
+# Towers whose facts stay cached. The iso_pairs benchmark draws its pairs
+# from 49 towers and the height-3 box [-2,2] holds 125, so a scan over all
+# pairs of a tower set computes each tower's facts once. A tower evicted
+# here and seen again may still key other caches by an earlier equal
+# object; those lookups compare rows, as before, until that entry goes.
+_FACTS_CACHED = 1024
+
+
+@lru_cache(maxsize=_FACTS_CACHED)
+def _tower_facts(tower: BottMatrix) -> _TowerFacts:
+    """The _TowerFacts of tower; its tower field is the first-seen equal tower.
+
+    Every later tower-keyed lookup of a call (_flat_mod, _row_equation,
+    the square-zero lines) made with that field finds its entry by
+    identity, so no call compares rows with a fresh but equal tower more
+    than once. No prime larger than isqrt(ODD_SCAN_LIMIT) gives a modulus,
+    since a tower with a nonzero entry has n >= 2: only those odd primes
+    are tried, each by divisibility, and no entry is factored.
     """
     n = tower.n
     entries = {e for col in tower.columns for e in col if e}
-    return frozenset(p for p in range(3, isqrt(ODD_SCAN_LIMIT) + 1, 2)
-                     if p ** n <= ODD_SCAN_LIMIT and any(e % p == 0 for e in entries)
-                     and all(p % d for d in range(3, p, 2)))
+    primes = [p for p in range(3, isqrt(ODD_SCAN_LIMIT) + 1, 2)
+              if p ** n <= ODD_SCAN_LIMIT and any(e % p == 0 for e in entries)
+              and all(p % d for d in range(3, p, 2))]
+    odd = sorted(q for p in primes for q in (p, p * p) if q ** n <= ODD_SCAN_LIMIT)
+    return _TowerFacts(tower, len(square_zero_lines(tower)), tuple(odd))
 
 
 def ring_isomorphic(a: BottMatrix, b: BottMatrix,
@@ -413,12 +438,17 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
     The cheap finite quotients run first: mod 2, mod 4, then (integer
     mode only) mod p and mod p^2 in ascending order for every odd prime p
     dividing a nonzero entry of either tower, keeping a modulus q only
-    while q^n <= ODD_SCAN_LIMIT. Each tower's odd primes are found once
-    and kept (_odd_scan_primes), since a scan over a set of towers meets
-    each tower in many pairs. Every quotient goes through
+    while q^n <= ODD_SCAN_LIMIT. Every quotient goes through
     modular_iso_exists. Then comes the witness search in both
     directions, and mod 8 after a failed search. Over Z_(2) odd primes
     are units, so only 2, 4 and 8 apply; over Q no quotient applies.
+
+    Each tower is looked up once per call (_tower_facts): its square-zero
+    line count and odd moduli are kept per tower, since a scan over a set
+    of towers meets each tower in many pairs, and the rest of the call
+    runs on the first-seen equal tower the lookup returns, so every later
+    tower-keyed cache (_flat_mod, _row_equation, the square-zero lines)
+    finds its entry by identity rather than by comparing rows.
 
     Over Z the witness rows are ints throughout, and neither the search
     nor the replay clears or coerces them: each sampled row is cleared
@@ -440,14 +470,16 @@ def ring_isomorphic(a: BottMatrix, b: BottMatrix,
     """
     _check_tower(a, "a")
     _check_tower(b, "b")
-    mode = CoeffMode(mode)
+    if type(mode) is not CoeffMode:
+        mode = CoeffMode(mode)
     if a.n != b.n:
         return IsoReport(False, None, "stage count differs", mode, ())
-    la, lb = square_zero_lines(a), square_zero_lines(b)
+    fa, fb = _tower_facts(a), _tower_facts(b)
     # the lines have distinct top indices (square_zero_lines), so they are
     # independent and their count is their span rank
-    if len(la) != len(lb):
+    if fa.lines != fb.lines:
         return IsoReport(False, None, "square-zero line count differs", mode, ())
+    a, b = fa.tower, fb.tower
     before, after = _iso_moduli(a, b, mode)
     checked = []
 
@@ -725,6 +757,9 @@ def modular_iso_exists(a: BottMatrix, b: BottMatrix, modulus: int) -> bool:
     comparison and n = 0 are answered before the memo, the prime of the
     modulus is memoized (_prime_of), and so is each tower's key mod q
     (_flat_mod), since a tower meets the same few moduli in every pair.
+    ring_isomorphic passes the towers its _tower_facts lookups return, so
+    there _flat_mod finds each entry by identity. Called directly, the
+    towers are validated afresh on every call.
     """
     _check_tower(a, "a")
     _check_tower(b, "b")

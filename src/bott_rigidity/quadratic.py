@@ -104,7 +104,15 @@ def perfect_square_root(q: Fraction):
 
 
 def divisors(x: int) -> list[int]:
-    """Positive divisors of x, ascending, by trial division up to sqrt|x|.
+    """Positive divisors of x, ascending; [] for x = 0.
+
+    They are built from the prime factorization of |x|, found by trial
+    division that stops once the next divisor's square exceeds the part
+    of |x| still unfactored. A value whose prime factors are small beside
+    it is answered at once (10**40 and 2**64 * 3**20 take microseconds),
+    and so is a large prime or a small multiple of one. A value with two
+    large prime factors, such as p**2 with p near 10**10, is still divided
+    up to p: that case waits for a search budget.
 
     The divisors of the _DIVISORS_CACHED most recently seen |x| are kept,
     because the witness search asks for the same few values many times.
@@ -118,14 +126,22 @@ _DIVISORS_CACHED = 1024
 
 @lru_cache(maxsize=_DIVISORS_CACHED)
 def _divisors(x: int) -> tuple[int, ...]:
-    out = []
-    d = 1
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            if d != x // d:
-                out.append(x // d)
+    if x == 0:
+        return ()
+    out = [1]
+    rest, d = x, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            # each power d**k of this prime times every divisor found so far
+            k, powers = 0, []
+            while rest % d == 0:
+                rest //= d
+                k += 1
+                powers.append(d ** k)
+            out += [e * q for q in powers for e in out]
         d += 1
+    if rest > 1:
+        out += [e * rest for e in out]
     return tuple(sorted(out))
 
 

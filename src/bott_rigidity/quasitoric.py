@@ -43,7 +43,10 @@ def _stage_order(mat):
     Edges i -> j are the nonzero off-diagonal entries, and each position
     takes the least unplaced stage all of whose predecessors are placed,
     found by keeping each stage's count of unplaced predecessors, in
-    O(n^2) time. Reordered by it, the matrix is unitriangular.
+    O(n^2) time. Reordered by it, the matrix is unitriangular: an entry
+    (i, j) would break that exactly when j was placed before i, so the
+    placement loop asserts that no placed stage has a nonzero entry
+    towards an earlier placed one.
     """
     n = len(mat)
     # nonzero entries in each column, less the diagonal 1; placing a stage
@@ -59,9 +62,9 @@ def _stage_order(mat):
         sigma[cand] = pos
         for j, x in enumerate(mat[cand]):
             if x:
+                if j != cand and sigma[j] is not None:
+                    raise AssertionError("stage order leaves a nonzero entry below the diagonal")
                 indegree[j] -= 1
-    if any(mat[i][j] and sigma[i] > sigma[j] for i in range(n) for j in range(n)):
-        raise AssertionError("stage order leaves a nonzero entry below the diagonal")
     return tuple(sigma)
 
 

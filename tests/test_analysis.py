@@ -9,8 +9,8 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
-from math import prod
+from itertools import combinations, islice, product
+from math import isqrt, prod
 
 import pytest
 
@@ -670,6 +670,46 @@ class TestRingIsomorphic:
         random.Random(29).shuffle(cases)
         for case in cases:
             assert report(case) == cold[case], case
+        # fresh equal copies, after more distinct towers than _tower_facts
+        # holds: the copies become the first-seen towers while the other
+        # caches still hold the evicted originals
+        for entries in islice(product(range(-3, 4), repeat=5), analysis._FACTS_CACHED):
+            analysis._tower_facts(BottMatrix.from_last_column(list(entries)))
+        a, b, _ = cases[0]
+        fresh = BottMatrix(a.rows)
+        assert analysis._tower_facts(fresh).tower is fresh
+        for a, b, mode in cases:
+            assert report((BottMatrix(a.rows), BottMatrix(b.rows), mode)) == cold[a, b, mode]
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_second_call_compares_each_tower_once(self, mode, monkeypatch):
+        # no entry is -1 or -2 (hash(-1) == hash(-2)), so no two distinct
+        # towers here share a hash; a second call on fresh equal towers
+        # compares rows once per tower, in its _tower_facts lookup, when the
+        # first call filled every cache with the same first-seen towers
+        _clear_caches()
+        pairs = [([3, 5], [5, 3]), ([0, 4], [4, 0]), ([3, 3], [6, 0]),
+                 ([1, 3], [3, 1]), ([2, 0], [0, 0])]
+        tower = [[0, 1, 3, 0], [0, 0, 4, 1], [0, 0, 0, 5], [0, 0, 0, 0]]
+        pairs = [(BottMatrix.from_last_column(x), BottMatrix.from_last_column(y))
+                 for x, y in pairs] + [(BottMatrix(tower), BottMatrix(tower))]
+        calls = []
+        eq = BottMatrix.__eq__
+
+        def counted(self, other):
+            calls.append(1)
+            return eq(self, other)
+
+        for a, b in pairs:
+            first = ring_isomorphic(a, b, mode)
+            monkeypatch.setattr(BottMatrix, "__eq__", counted)
+            calls.clear()
+            again = ring_isomorphic(BottMatrix(a.rows), BottMatrix(b.rows), mode)
+            monkeypatch.undo()
+            assert len(calls) == 2, (a, b)
+            assert (again.isomorphic, again.reason, again.moduli_checked,
+                    repr(again.witness)) == (first.isomorphic, first.reason,
+                                             first.moduli_checked, repr(first.witness))
 
     def test_large_prime_entry_search_is_fast(self):
         # from a fresh process the witness search makes 108 divisors calls
@@ -683,6 +723,18 @@ class TestRingIsomorphic:
         rep = ring_isomorphic(a, b)
         assert time.process_time() - start < 1.0
         assert rep.isomorphic is None and rep.moduli_checked == (2, 4, 8)
+
+    def test_huge_smooth_entries_are_fast(self):
+        # 10**20 and 3**40 have only small prime factors, so their divisors
+        # come from a short factorization; a scan to the square root did
+        # not finish in minutes
+        for big in (10 ** 20, 3 ** 40):
+            a = BottMatrix.from_last_column([big, 3])
+            b = BottMatrix.from_last_column([3, big])
+            start = time.process_time()
+            rep = ring_isomorphic(a, b)
+            assert time.process_time() - start < 1.0
+            assert (rep.isomorphic, rep.reason) == (True, "witness verified")
 
     def test_row_equation_keyed_on_values(self):
         # Fraction(2) == 2 and both hash alike, and the solutions take
@@ -822,6 +874,36 @@ class TestIsoModuli:
             a, b = rand_bott(rng, n, bound), rand_bott(rng, n, bound)
             assert analysis._iso_moduli(a, b, CoeffMode.INTEGER) == \
                 self._full_factorization_moduli(a, b), (a, b)
+
+    @staticmethod
+    def _set_union_moduli(a, b, mode):
+        # the per-pair set union over per-tower odd primes that
+        # _tower_facts and its tuple merge replaced, as the reference
+        def odd_scan_primes(tower):
+            n = tower.n
+            entries = {e for col in tower.columns for e in col if e}
+            return frozenset(p for p in range(3, isqrt(analysis.ODD_SCAN_LIMIT) + 1, 2)
+                             if p ** n <= analysis.ODD_SCAN_LIMIT
+                             and any(e % p == 0 for e in entries)
+                             and all(p % d for d in range(3, p, 2)))
+
+        if mode.is_unit(2):
+            return (), ()
+        n = a.n
+        odd = {p for t in (a, b) for p in odd_scan_primes(t) if not mode.is_unit(p)}
+        moduli = sorted(q for p in odd for q in (p, p * p) if q ** n <= analysis.ODD_SCAN_LIMIT)
+        return (2, 4, *moduli), (8,)
+
+    @pytest.mark.parametrize("mode", list(CoeffMode))
+    def test_tuple_merge_matches_set_union(self, mode):
+        rng = random.Random(73)
+        for _ in range(400):
+            n = rng.randint(0, 8)
+            bound = rng.choice((3, 30, 10 ** 6))
+            a, b = rand_bott(rng, n, bound), rand_bott(rng, n, bound)
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert analysis._iso_moduli(x, y, mode) == \
+                    self._set_union_moduli(x, y, mode), (x, y)
 
     def test_large_prime_entry_is_not_factored(self):
         # 2^61 - 1 is prime; full trial division would take ~1.5e9 steps

@@ -6,6 +6,7 @@ for completeness against a brute-force box scan.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -153,6 +154,29 @@ class TestSmallHelpers:
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(-4) == [1, 2, 4]
         assert divisors(1) == [1]
+        assert divisors(0) == []
+
+    def test_divisors_match_a_scan_to_the_square_root(self):
+        # the trial-division scan that divisors replaced, as the reference
+        def scan(x):
+            out, d = set(), 1
+            while d * d <= x:
+                if x % d == 0:
+                    out.update((d, x // d))
+                d += 1
+            return sorted(out)
+
+        for x in range(20001):
+            assert divisors(x) == scan(x), x
+
+    @pytest.mark.parametrize("x, count", [(10 ** 40, 41 * 41), (2 ** 64 * 3 ** 20, 65 * 21)])
+    def test_divisors_of_smooth_values_are_fast(self, x, count):
+        # a scan to the square root would take 10**20 and 10**19 steps
+        start = time.process_time()
+        got = divisors(x)
+        assert time.process_time() - start < 1.0
+        assert len(got) == count and all(x % d == 0 for d in got)
+        assert got == sorted(set(got))
 
     def test_primitive_rows_box(self):
         rows = primitive_rows_box(2, 1)
