@@ -25,7 +25,7 @@ from math import isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .core import BottMatrix, BottRing, CoeffMode, integer_entries
+from .core import BottMatrix, BottRing, CoeffMode, _check_tower, integer_entries
 from .linalg import (
     _cleared_rows,
     _cofactors,
@@ -36,6 +36,7 @@ from .linalg import (
 )
 from .moves import _trivialized, stage_fibration_trivial
 from .quadratic import (
+    _product_vanishes,
     line_product_pairs,
     line_square_pairs,
     primitive_rows_box,
@@ -50,13 +51,9 @@ def _check_bound(bound: int) -> None:
         raise ValueError(f"box bound must be at least 1, got {bound}")
 
 
-def _check_tower(tower, name: str) -> None:
-    if not isinstance(tower, BottMatrix):
-        raise TypeError(f"{name}: expected a BottMatrix, got {type(tower).__name__}")
-
-
 def find_reducible_stage(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER):
     """Highest twisted stage whose twist form is even and squares to zero."""
+    _check_tower(matrix, "matrix")
     if type(mode) is not CoeffMode:
         mode = CoeffMode(mode)
     cols = matrix.columns
@@ -108,7 +105,8 @@ def twist_number(matrix: BottMatrix, mode: CoeffMode = CoeffMode.INTEGER,
     """
     _check_tower(matrix, "matrix")
     _check_bound(bound)
-    mode = CoeffMode(mode)
+    if type(mode) is not CoeffMode:
+        mode = CoeffMode(mode)
     n = matrix.n
     cur = matrix
     moves = []
@@ -134,10 +132,12 @@ def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode
 
     Row k of basis is final's k-th generator y_k in matrix's generators.
     Each relation y_k^2 = f_k(y) y_k, with f_k read off column k of final,
-    is checked as the one closed-form product (y_k - u_k) y_k = 0, where
-    u_k = f_k(y) is a vector in matrix's generators. The moves keep the
-    basis lower triangular (moves._moved_basis), which is asserted, so its
-    determinant is the product of the diagonal, and it must be a unit.
+    is checked as the one closed-form product (y_k - u_k) y_k = 0 over
+    matrix's columns (quadratic._product_vanishes, which stops at the
+    first nonzero coefficient), where u_k = f_k(y) is a vector in
+    matrix's generators. The moves keep the basis lower triangular
+    (moves._moved_basis), which is asserted, so its determinant is the
+    product of the diagonal, and it must be a unit.
     The rows are put in the shape complexity_oracle returns: square-zero
     rows first, then the twisted rows in stage order, each with the
     coefficients of its twist form in the reordered rows; "det" is the
@@ -147,12 +147,13 @@ def _basis_witness(matrix: BottMatrix, final: BottMatrix, basis, mode: CoeffMode
     over every twisted row before it, and their parity is the sign.
     """
     n = matrix.n
+    base = matrix.columns
     cols = final.columns
     zero, twisted = [], []
     det = 1
     inversions = 0
     for k, (y, col) in enumerate(zip(basis, cols)):
-        if line_product_pairs(matrix, _relation_factor(y, col, basis), y):
+        if not _product_vanishes(base, _relation_factor(y, col, basis), y):
             raise AssertionError("composed basis fails a relation")
         if any(y[k + 1:]):
             raise AssertionError("composed basis is not lower triangular")

@@ -246,6 +246,12 @@ class BottMatrix:
         return f"BottMatrix({self.to_lists()})"
 
 
+def _check_tower(tower, name: str) -> None:
+    """TypeError unless tower is a BottMatrix: the library's public functions take no raw rows."""
+    if not isinstance(tower, BottMatrix):
+        raise TypeError(f"{name}: expected a BottMatrix, got {type(tower).__name__}")
+
+
 _set = object.__setattr__
 
 

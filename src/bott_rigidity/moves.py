@@ -10,8 +10,8 @@ the later columns.
 
 from __future__ import annotations
 
-from .core import BottMatrix, CoeffMode, integer_entries
-from .quadratic import line_product_pairs, line_square_pairs
+from .core import BottMatrix, CoeffMode, _check_tower, integer_entries
+from .quadratic import _product_vanishes
 
 PERMUTATION_N_MAX = 8
 
@@ -84,24 +84,35 @@ def admissible_permutations(matrix: BottMatrix):
     yield from walk()
 
 
+def _check_stage(matrix: BottMatrix, m) -> None:
+    """TypeError unless matrix is a BottMatrix and m an int stage index (no bool)."""
+    _check_tower(matrix, "matrix")
+    if type(m) is not int and (isinstance(m, bool) or not isinstance(m, int)):
+        raise TypeError(f"stage index: expected an int, got {type(m).__name__}")
+
+
 def stage_fibration_trivial(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffMode.INTEGER) -> bool:
     """Whether stage m can be made untwisted by a fiberwise change of coordinates.
 
     True for an already zero column, and otherwise exactly when the twist
     form f_m is divisible by 2 in the coefficient ring and squares to zero
-    over the base of stage m. The square is taken in closed form
-    (line_square_pairs), with f_m padded by zeros from stage m on. A mode
-    that is already a CoeffMode member is used as it is, so the greedy
-    loop does not normalise it again for every stage.
+    over the base of stage m. The entries are ints, so outside Q they are
+    even when x % 2 is 0. The square is taken over the base itself: the
+    closed-form product of f_m with itself on the first m columns
+    (quadratic._product_vanishes). A mode that is already a CoeffMode
+    member, an exact int m and a BottMatrix pass their checks at once, so
+    the greedy loop pays little for them at every stage.
     """
+    if type(m) is not int or not isinstance(matrix, BottMatrix):
+        _check_stage(matrix, m)
     if type(mode) is not CoeffMode:
         mode = CoeffMode(mode)
     col = matrix.column(m)
     if not any(col):
         return True
-    if not all(map(mode.is_even, col)):
+    if not mode.is_field and any(x % 2 for x in col):
         return False
-    return not line_square_pairs(matrix, col + (0,) * (matrix.n - m))
+    return _product_vanishes(matrix.columns[:m], col, col)
 
 
 def trivialize_stage(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffMode.INTEGER):
@@ -117,6 +128,7 @@ def trivialize_stage(matrix: BottMatrix, m: int, mode: CoeffMode = CoeffMode.INT
     cleared by rescaling generators, which changes no column's zero/nonzero
     status and keeps the rational ring type.
     """
+    _check_stage(matrix, m)
     mode = CoeffMode(mode)
     if matrix.is_zero_column(m) or not stage_fibration_trivial(matrix, m, mode):
         return None
@@ -208,7 +220,7 @@ def retwist(alpha, w):
 
     Valid exactly when w * (alpha - w) = 0 in the base ring, so that both
     twists present the same total space. The product is taken in closed
-    form (line_product_pairs) over the untwisted base.
+    form over the untwisted base (quadratic._product_vanishes).
     Returns the new twist vector, or None when the move does not apply.
     """
     alpha = integer_entries(alpha, "twist vector")
@@ -216,7 +228,7 @@ def retwist(alpha, w):
     if len(alpha) != len(w):
         raise ValueError("alpha and w must have the same length")
     rest = [a - x for a, x in zip(alpha, w)]
-    if line_product_pairs(BottMatrix.zeros(len(alpha)), w, rest):
+    if not _product_vanishes(BottMatrix.zeros(len(alpha)).columns, w, rest):
         return None
     return [a - 2 * x for a, x in zip(alpha, w)]
 

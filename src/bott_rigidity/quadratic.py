@@ -6,8 +6,10 @@ on the squarefree pairs x_i x_j (i < j) with coefficient
     z_i w_j + z_j w_i + c[i][j] z_j w_j,
 
 the last summand coming from x_j^2 = f_j x_j. Everything in this module
-is built from that formula: enumeration of the square-zero lines in
-degree 2, and the exact solutions of the quadratic equation
+is built from that formula: the coefficients of a product, the test
+whether a product vanishes (_product_vanishes, which the library asks
+wherever it needs no coefficient), enumeration of the square-zero lines
+in degree 2, and the exact solutions of the quadratic equation
 w^2 = u * w for a known u, which is how rows of a candidate change of
 basis are produced without scanning a coefficient box.
 """
@@ -58,6 +60,28 @@ def line_square_pairs(matrix: BottMatrix, z) -> dict:
     return line_product_pairs(matrix, z, z)
 
 
+def _product_vanishes(columns, z, w) -> bool:
+    """Whether (sum z_i x_i)(sum w_i x_i) = 0, over the stages of columns.
+
+    columns are the twist forms f_0, ..., f_{k-1} of a tower or of the
+    base of one of its stages, and z, w have length k: the caller builds
+    them so, and nothing is checked. Each coefficient is the one of
+    line_product_pairs, and the answer is False at the first that is
+    nonzero, with no coefficient stored. The library asks every "is the
+    product zero?" question here; callers that read the coefficients ask
+    line_product_pairs.
+    """
+    for j, col in enumerate(columns):
+        zj, wj = z[j], w[j]
+        if not (zj or wj):
+            continue
+        zw = zj * wj
+        for i, cij in enumerate(col):
+            if z[i] * wj + zj * w[i] + cij * zw:
+                return False
+    return True
+
+
 def _pinned_line(matrix: BottMatrix, m: int) -> tuple:
     """The direction with top index m pinned by 2 z_i z_m = -c[i][m] z_m^2.
 
@@ -75,8 +99,9 @@ def square_zero_lines(matrix: BottMatrix) -> list[tuple[int, ...]]:
     A nonzero z with z^2 = 0 and top support index m must satisfy
     2 z_i z_m = -c[i][m] z_m^2 for each i < m, so the whole line is pinned
     by m (_pinned_line), and the direction is kept when its square really
-    vanishes. Hence there is at most one line per index and at most n in
-    total, the same set in integral, rational and 2-local coefficients.
+    vanishes (_product_vanishes of the direction with itself). Hence there
+    is at most one line per index and at most n in total, the same set in
+    integral, rational and 2-local coefficients.
     The lines of the _LINES_CACHED most recently seen towers are kept.
     """
     return list(_square_zero_lines(matrix))
@@ -89,7 +114,8 @@ _LINES_CACHED = 256
 @lru_cache(maxsize=_LINES_CACHED)
 def _square_zero_lines(matrix: BottMatrix) -> tuple[tuple[int, ...], ...]:
     lines = (_pinned_line(matrix, m) for m in range(matrix.n))
-    return tuple(v for v in lines if not line_square_pairs(matrix, v))
+    cols = matrix.columns
+    return tuple(v for v in lines if _product_vanishes(cols, v, v))
 
 
 def perfect_square_root(q: Fraction):

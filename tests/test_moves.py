@@ -16,6 +16,7 @@ from bott_rigidity import (
     CoeffMode,
     admissible_permutations,
     conjugate,
+    find_reducible_stage,
     is_admissible,
     normalize_last_twist,
     pontrjagin_one_twist,
@@ -27,6 +28,7 @@ from bott_rigidity import (
 )
 from bott_rigidity.checks import rand_bott
 from bott_rigidity.moves import _moved_basis, _trivialized
+from bott_rigidity.quadratic import line_square_pairs
 
 
 class TestConjugate:
@@ -213,11 +215,79 @@ class TestTrivializeStage:
 
     def test_stage_index_out_of_range(self):
         mat = BottMatrix([[0, 2], [0, 0]])
-        for m in (-1, 2):
+        for m in (-1, 2, 10**20):
             with pytest.raises(IndexError):
                 stage_fibration_trivial(mat, m)
             with pytest.raises(IndexError):
                 trivialize_stage(mat, m)
+        # a bool or a non-int is no stage index, even when it would index
+        for m in (True, False, 1.0, Fraction(1), "1", None):
+            with pytest.raises(TypeError, match="stage index"):
+                stage_fibration_trivial(mat, m)
+            with pytest.raises(TypeError, match="stage index"):
+                trivialize_stage(mat, m)
+
+    def test_bool_stage_index_rejected(self):
+        # True used to pass as stage 1 and rewrite it
+        mat = BottMatrix([[0, 2], [0, 0]])
+        assert trivialize_stage(mat, 1) == BottMatrix.zeros(2)
+        with pytest.raises(TypeError, match="stage index: expected an int, got bool"):
+            trivialize_stage(mat, True)
+        with pytest.raises(TypeError, match="stage index: expected an int, got bool"):
+            stage_fibration_trivial(mat, True)
+
+    def test_float_stage_index_rejected(self):
+        mat = BottMatrix([[0, 2], [0, 0]])
+        for call in (stage_fibration_trivial, trivialize_stage):
+            with pytest.raises(TypeError, match="stage index: expected an int, got float"):
+                call(mat, 1.0)
+
+    @pytest.mark.parametrize("tower", [[[0, 2], [0, 0]], ((0, 2), (0, 0)), None],
+                             ids=["list", "tuple", "none"])
+    def test_tower_must_be_a_bott_matrix(self, tower):
+        # raw rows are refused with the message twist_number gives them
+        message = f"matrix: expected a BottMatrix, got {type(tower).__name__}"
+        for call in (lambda: stage_fibration_trivial(tower, 1),
+                     lambda: trivialize_stage(tower, 1),
+                     lambda: find_reducible_stage(tower),
+                     lambda: twist_number(tower)):
+            with pytest.raises(TypeError, match=message):
+                call()
+
+    def test_predicate_matches_the_padded_square_reference(self):
+        # the stage test before the vanishing kernel: every entry even in
+        # the mode and the square of f_m, padded by zeros to the height of
+        # the tower, with no coefficient left; every stage of the 125
+        # height-3 towers over [-2, 2] and of seeded taller towers, half
+        # of whose columns are doubled so that the square is reached
+        def reference(matrix, m, mode):
+            col = matrix.column(m)
+            if not any(col):
+                return True
+            return (all(map(mode.is_even, col))
+                    and not line_square_pairs(matrix, col + (0,) * (matrix.n - m)))
+
+        towers = [BottMatrix([[0, a, b], [0, 0, c], [0, 0, 0]])
+                  for a, b, c in product(range(-2, 3), repeat=3)]
+        rng = random.Random(43)
+        for n in range(4, 9):
+            for _ in range(40):
+                rows = rand_bott(rng, n).to_lists()
+                for j in range(n):
+                    if rng.random() < 0.5:
+                        for i in range(j):
+                            rows[i][j] *= 2
+                towers.append(BottMatrix(rows))
+        hits = misses = 0
+        for mode in CoeffMode:
+            for mat in towers:
+                for m in range(mat.n):
+                    want = reference(mat, m, mode)
+                    assert stage_fibration_trivial(mat, m, mode) == want, (mat, m, mode)
+                    if any(mat.column(m)):
+                        hits += want
+                        misses += not want
+        assert hits >= 300 and misses >= 300
 
     def test_rational_mode_clears_denominators(self):
         # odd columns become removable over Q; the move rescales later

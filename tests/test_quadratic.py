@@ -16,6 +16,7 @@ from bott_rigidity import BottMatrix, BottRing, CoeffMode
 from bott_rigidity.checks import rand_bott
 from bott_rigidity.quadratic import (
     RowSolutions,
+    _product_vanishes,
     divisors,
     line_product_pairs,
     line_square_pairs,
@@ -82,6 +83,42 @@ class TestClosedForms:
             assert line_product_pairs(mat, z, w) == by_entries(mat, z, w)
             assert line_product_pairs(mat, w, z) == by_entries(mat, w, z)
             assert line_square_pairs(mat, z) == by_entries(mat, z, z)
+
+    def test_vanishing_kernel_matches_the_coefficients(self):
+        # _product_vanishes answers "is the product zero?" without the
+        # coefficients: on the whole tower it agrees with an empty
+        # line_product_pairs, and on the first m columns with vectors of
+        # length m it agrees with the product over the base of stage m,
+        # read from the same tower with the vectors padded by zeros
+        rng = random.Random(47)
+        vanished = kept = 0
+        for _ in range(60):
+            for n in range(9):
+                mat = rand_bott(rng, n, bound=rng.randint(1, 3))
+                cols = mat.columns
+
+                def entry():
+                    return rng.choice([0, 0, rng.randint(-3, 3),
+                                       Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))])
+
+                z = [entry() for _ in range(n)]
+                w = [entry() for _ in range(n)]
+                line = square_zero_lines(mat)
+                cases = [(z, w), (w, z), (z, z), (z, [0] * n), ([0] * n, [0] * n)]
+                cases += [(v, v) for v in line] + [(v, [2 * x for x in v]) for v in line]
+                cases += [([int(x) for x in z], [int(x) for x in w])]
+                for a, b in cases:
+                    want = not line_product_pairs(mat, a, b)
+                    assert _product_vanishes(cols, a, b) == want, (mat, a, b)
+                    vanished += want
+                    kept += not want
+                for m in range(n + 1):
+                    a, b = z[:m], w[:m]
+                    for u, v in ((a, b), (a, a), (a, [0] * m)):
+                        pad = [0] * (n - m)
+                        want = not line_product_pairs(mat, u + pad, v + pad)
+                        assert _product_vanishes(cols[:m], u, v) == want, (mat, m, u, v)
+        assert vanished >= 500 and kept >= 500
 
     def test_zero_coefficients_dropped(self):
         mat = BottMatrix.zeros(3)
