@@ -220,8 +220,8 @@ class TestTrivializeStage:
                 stage_fibration_trivial(mat, m)
             with pytest.raises(IndexError):
                 trivialize_stage(mat, m)
-        # a bool or a non-int is no stage index, even when it would index
-        for m in (True, False, 1.0, Fraction(1), "1", None):
+        # nor is any other non-int (bool and float have their own tests)
+        for m in (Fraction(1), "1", None):
             with pytest.raises(TypeError, match="stage index"):
                 stage_fibration_trivial(mat, m)
             with pytest.raises(TypeError, match="stage index"):
